@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .checks import collect_artifacts
 from .forms import MonomialForm, order_drop_report, ratio_limit_report
 from .gallery import (
     _FRACTION_POOL,
@@ -180,24 +181,15 @@ def criterion_2() -> CriterionResult:
     )
 
 
-def _boundary_sums(sc) -> dict:
-    want = set(sc.boundaries)
-    sums = {}
-    for n, st in enumerate(replay_states(sc), start=1):
-        if n in want:
-            sums[n] = st.partial_sum
-    return sums
-
-
 def criterion_3() -> CriterionResult:
     t0 = time.perf_counter()
     sc = gen_shannon_418(episodes=30)
     basis = sc.frame.basis
-    sums = _boundary_sums(sc)
+    sums = collect_artifacts(sc).boundary_sums
     bad = [
         k
-        for k, b in enumerate(sc.boundaries, start=1)
-        if sums[b] != basis.rational(Fraction(8, 3) * (1 - Fraction(1, 4) ** k))
+        for k, total in enumerate(sums, start=1)
+        if total != basis.rational(Fraction(8, 3) * (1 - Fraction(1, 4) ** k))
     ]
     ok = not bad and sc.expected_limit == Fraction(8, 3)
     summary = (
@@ -215,26 +207,18 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     sc = gen_notunion_rr1(steps=40)
     basis = sc.frame.basis
-    final = None
-    sums = {}
-    want = set(sc.boundaries)
-    for n, st in enumerate(replay_states(sc), start=1):
-        final = st
-        if n in want:
-            sums[n] = st.partial_sum
+    art = collect_artifacts(sc)
+    final = art.final
     # record 2k is the step worth 2^-k, record 2k+1 the rescale worth 2^-(k+1)
     m_ok = all(
         final.m_value(j) == basis.rational(Fraction(1, 2) ** (divmod(j, 2)[0] + divmod(j, 2)[1]))
         for j in range(final.step_count)
     )
     sums_ok = all(
-        sums[b] == basis.rational(3 - 3 * Fraction(1, 2) ** k)
-        for k, b in enumerate(sc.boundaries, start=1)
+        total == basis.rational(3 - 3 * Fraction(1, 2) ** k)
+        for k, total in enumerate(art.boundary_sums, start=1)
     )
-    sc3 = gen_notunion_rr1(steps=40, embed3d=True)
-    final3 = None
-    for final3 in replay_states(sc3):
-        pass
+    final3 = collect_artifacts(gen_notunion_rr1(steps=40, embed3d=True)).final
     spectator = all(
         "z" in final3.starving_directions(w)
         for w in range(1, final3.step_count + 1)
@@ -263,7 +247,7 @@ def criterion_5() -> CriterionResult:
     all_ok = True
     for sc in (gen_713(episodes=1000), gen_714(episodes=1000)):
         basis = sc.frame.basis
-        sums = _boundary_sums(sc)
+        sums = collect_artifacts(sc).boundary_sums
         if sc.name == "gmr-7.13":
             laws = {k: k + 2 - 2 * Fraction(1, 2) ** k for k in range(1, 1001)}
         else:
@@ -274,8 +258,8 @@ def criterion_5() -> CriterionResult:
                 acc += 1 + Fraction(1, 4) ** (k - 1)
                 laws[k] = acc
         laws_ok = all(
-            sums[b] == basis.rational(laws[k])
-            for k, b in enumerate(sc.boundaries, start=1)
+            total == basis.rational(laws[k])
+            for k, total in enumerate(sums, start=1)
         )
         running = Fraction(0)
         k = 0
@@ -286,7 +270,7 @@ def criterion_5() -> CriterionResult:
                 k += 1
                 groups_ok &= g.count * g.value == 1
                 floor_ok &= running >= k
-        stream_ok = sums[sc.boundaries[-1]] == basis.rational(running)
+        stream_ok = sums[-1] == basis.rational(running)
         this_ok = laws_ok and groups_ok and floor_ok and stream_ok and sc.diverges
         detail[sc.name] = {
             "laws": laws_ok, "unit_groups": groups_ok,

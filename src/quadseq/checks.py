@@ -1,8 +1,8 @@
 """Named verification checks runnable against any scenario.
 
 The registry keys are the stable interface strings used by configs and
-the command line.  Each check inspects a replayed scenario (one shared
-replay per invocation of run_checks) and returns a verdict:
+the command line.  Each check inspects the RunArtifacts of one replay,
+which ``quadseq run`` also builds its trace from, and returns a verdict:
 
 - "pass"           the claimed property held everywhere it was tested
 - "fail"           a counterexample was found; the detail names it
@@ -22,8 +22,10 @@ from typing import Callable, Sequence
 
 from .errors import (
     AmbiguousDirection,
+    ConfigError,
     IncompleteCoverage,
     NotTerminated,
+    QuadseqError,
     RatioUndefined,
     UnknownCheck,
 )
@@ -50,7 +52,7 @@ class CheckResult:
 
 @dataclass
 class RunArtifacts:
-    """Everything the per-step checks need, gathered in one replay."""
+    """Everything the per-step checks and the trace need, from one replay."""
 
     scenario: Scenario
     final: SequenceState
@@ -85,7 +87,10 @@ def frame_rationally_independent(values: Sequence[ValueVector]) -> bool:
 
 
 def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
-    """Gather per-step facts in one replay.
+    """Gather per-step facts in one replay; ``final.history`` keeps every record.
+
+    A record that cannot be taken raises ConfigError naming its index,
+    chained from the stepping error.
 
     With ``replay=False`` no step is taken: the artifacts describe the
     initial state and the per-step fields hold vacuously.  Checks that
@@ -106,19 +111,22 @@ def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
     bound_fail = None
     boundaries = set(scenario.boundaries)
     boundary_sums: dict[int, ValueVector] = {}
-    n = 0
+    n = 0  # records completed, so record n + 1 is the one in progress
     state = SequenceState.from_frame(scenario.frame)
     if replay:
-        for state in replay_states(scenario):
-            n += 1
-            if conservation_all and not state.conservation_check():
-                conservation_all = False
-                conservation_fail = n
-            if bound_applicable and bound_all and state.bound_gap_sign() <= 0:
-                bound_all = False
-                bound_fail = n
-            if n in boundaries:
-                boundary_sums[n] = state.partial_sum
+        try:
+            for state in replay_states(scenario):
+                if conservation_all and not state.conservation_check():
+                    conservation_all = False
+                    conservation_fail = n + 1
+                if bound_applicable and bound_all and state.bound_gap_sign() <= 0:
+                    bound_all = False
+                    bound_fail = n + 1
+                n += 1
+                if n in boundaries:
+                    boundary_sums[n] = state.partial_sum
+        except QuadseqError as exc:
+            raise ConfigError(f"scenario failed at record {n + 1}: {exc}") from exc
     return RunArtifacts(
         scenario=scenario,
         final=state,
@@ -514,9 +522,11 @@ def explain(check: str) -> str:
 FRAME_ONLY_CHECKS = {"ratio-limit", "videal-chain", "tau-bound", "remark4175"}
 
 
-def run_checks(scenario: Scenario, check_ids: Sequence[str],
+def run_checks(target: Scenario | RunArtifacts, check_ids: Sequence[str],
                options: dict | None = None) -> list[CheckResult]:
-    """Replay once, then run each requested check (deduplicated, in order)."""
+    """Run each requested check (deduplicated, in order) on one replay: the
+    given artifacts, or a replay of the scenario made here (none at all when
+    every requested check looks only at the frame)."""
     options = options or {}
     ordered: list[str] = []
     for cid in check_ids:
@@ -524,6 +534,9 @@ def run_checks(scenario: Scenario, check_ids: Sequence[str],
             raise UnknownCheck(cid)
         if cid not in ordered:
             ordered.append(cid)
-    needs_replay = any(cid not in FRAME_ONLY_CHECKS for cid in ordered)
-    art = collect_artifacts(scenario, replay=needs_replay)
+    if isinstance(target, RunArtifacts):
+        art = target
+    else:
+        needs_replay = any(cid not in FRAME_ONLY_CHECKS for cid in ordered)
+        art = collect_artifacts(target, replay=needs_replay)
     return [CHECKS[cid](art, options) for cid in ordered]

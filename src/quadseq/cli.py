@@ -26,10 +26,11 @@ import time
 from fractions import Fraction
 
 from . import acceptance
-from .checks import CheckResult, explain, list_checks, run_checks
+from .checks import (CheckResult, RunArtifacts, collect_artifacts, explain,
+                     list_checks, run_checks)
 from .errors import ConfigError, QuadseqError, UnknownCheck
 from .forms import MonomialForm
-from .gallery import PlanStep, Scenario, build_preset, list_presets, replay_states
+from .gallery import PlanStep, Scenario, build_preset, list_presets
 from .monomials import MonomialIdeal
 from .sequence import ParameterFrame
 from .values import RealBasis, ValueVector
@@ -78,6 +79,16 @@ def _canonical(obj, width: Fraction):
 # -- config parsing --------------------------------------------------------------
 
 
+def _to_int(spec, where: str) -> int:
+    """A JSON integer or decimal string; bools and floats are refused, not truncated."""
+    try:
+        if isinstance(spec, (int, str)) and not isinstance(spec, bool):
+            return int(spec)
+    except ValueError:
+        pass
+    raise ConfigError(f"{where}: not an integer: {spec!r}")
+
+
 def _to_rational(spec, where: str) -> Fraction:
     if isinstance(spec, bool) or isinstance(spec, float):
         raise ConfigError(f"{where}: write rationals as strings like \"3/4\"")
@@ -109,10 +120,11 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
         if kind == "monomial":
             if "direction" not in ps:
                 raise ConfigError(f"{where}: monomial step needs a direction")
-            steps.append(
-                PlanStep("monomial", direction=int(ps["direction"]),
-                         count=int(ps.get("count", 1)))
-            )
+            count = _to_int(ps.get("count", 1), f"{where}.count")
+            if count < 1:
+                raise ConfigError(f"{where}.count: must be >= 1, got {count}")
+            direction = _to_int(ps["direction"], f"{where}.direction")
+            steps.append(PlanStep("monomial", direction=direction, count=count))
         elif kind == "rescale":
             vals = ps.get("values")
             if not isinstance(vals, list) or len(vals) != dim:
@@ -124,7 +136,8 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
             direction = ps.get("direction")
             steps.append(
                 PlanStep("rescale", direction=None if direction is None
-                         else int(direction), new_values=new_values)
+                         else _to_int(direction, f"{where}.direction"),
+                         new_values=new_values)
             )
         else:
             raise ConfigError(f"{where}: unknown step kind {kind!r}")
@@ -142,19 +155,23 @@ def _parse_options(obj) -> dict:
             options["small_threshold"], "options.small_threshold")
     for key in ("ratio_f", "ratio_g"):
         if key in options:
-            options[key] = [tuple(int(e) for e in m) for m in options[key]]
+            options[key] = [tuple(_to_int(e, f"options.{key}") for e in m)
+                            for m in options[key]]
     return options
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
+    steps = None if cfg.get("steps") is None else _to_int(cfg["steps"], "steps")
     if "preset" in cfg:
         kwargs = dict(cfg.get("preset_options") or {})
-        return build_preset(cfg["preset"], steps=cfg.get("steps"),
+        if "d" in kwargs:
+            kwargs["d"] = _to_int(kwargs["d"], "preset_options.d")
+        return build_preset(cfg["preset"], steps=steps,
                             seed=cfg.get("seed"), **kwargs)
     for key in ("dimension", "frame"):
         if key not in cfg:
             raise ConfigError(f"inline scenario needs {key!r} (or use a preset)")
-    dim = int(cfg["dimension"])
+    dim = _to_int(cfg["dimension"], "dimension")
     basis = (RealBasis.from_obj(cfg["basis"]) if "basis" in cfg
              else RealBasis.default(dim))
     frame_spec = cfg["frame"]
@@ -167,11 +184,12 @@ def scenario_from_config(cfg: dict) -> Scenario:
     name = cfg.get("name", "scenario")
     if mode == "argmin":
         return Scenario(name=name, frame=frame, mode="argmin",
-                        steps=int(cfg.get("steps", 0)),
+                        steps=steps or 0,
                         seed=cfg.get("seed"))
     if mode == "scripted":
         plan = _parse_plan(basis, cfg.get("plan", []), dim)
-        boundaries = tuple(int(b) for b in cfg.get("boundaries", ()))
+        boundaries = tuple(_to_int(b, f"boundaries[{i}]")
+                           for i, b in enumerate(cfg.get("boundaries", ())))
         return Scenario(name=name, frame=frame, mode="scripted", plan=plan,
                         boundaries=boundaries, seed=cfg.get("seed"))
     raise ConfigError(f"unknown mode {mode!r} (use \"argmin\" or \"scripted\")")
@@ -180,27 +198,29 @@ def scenario_from_config(cfg: dict) -> Scenario:
 # -- trace and report ------------------------------------------------------------
 
 
-def build_trace(scenario: Scenario, width: Fraction) -> list[dict]:
-    """One row per record; failures carry the record index."""
+def build_trace(art: RunArtifacts, width: Fraction) -> list[dict]:
+    """One row per record of the replay behind ``art``, read from its history.
+
+    Nothing is stepped.  E is the running sum of m * count, exact because
+    a rescale adds its m to E as a monomial step does; an enclosure does
+    not depend on the denominator a value is written over.
+    """
+    final = art.final
+    total = final.basis.zero()
     rows = []
-    n = 0
-    try:
-        for st in replay_states(scenario):
-            n += 1
-            rec = st.history[-1]
-            m_lo, m_hi = st.m_value(st.step_count - 1).evaluate_interval(width)
-            e_lo, e_hi = st.partial_sum.evaluate_interval(width)
-            rows.append({
-                "step": n,
-                "kind": rec.kind,
-                "dir": "" if rec.direction is None else st.names[rec.direction],
-                "m_lo": _frac_str(m_lo),
-                "m_hi": _frac_str(m_hi),
-                "E_lo": _frac_str(e_lo),
-                "E_hi": _frac_str(e_hi),
-            })
-    except QuadseqError as exc:
-        raise ConfigError(f"scenario failed at record {n + 1}: {exc}") from exc
+    for n, rec in enumerate(final.history, start=1):
+        total = total + rec.m_value.scale(rec.count)
+        m_lo, m_hi = rec.m_value.evaluate_interval(width)
+        e_lo, e_hi = total.evaluate_interval(width)
+        rows.append({
+            "step": n,
+            "kind": rec.kind,
+            "dir": "" if rec.direction is None else final.names[rec.direction],
+            "m_lo": _frac_str(m_lo),
+            "m_hi": _frac_str(m_hi),
+            "E_lo": _frac_str(e_lo),
+            "E_hi": _frac_str(e_hi),
+        })
     return rows
 
 
@@ -280,8 +300,9 @@ def cmd_run(args) -> int:
     if width <= 0:
         raise ConfigError("interval width must be positive")
 
-    trace = build_trace(scenario, width)
-    results = run_checks(scenario, check_ids, options)
+    art = collect_artifacts(scenario)
+    trace = build_trace(art, width)
+    results = run_checks(art, check_ids, options)
     report = build_report(scenario, results, trace, width, source)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
 

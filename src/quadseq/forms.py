@@ -29,13 +29,13 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     divides,
-    monomial_value,
+    least_value,
     rewrite_monomial,
     total_degree,
     _validate_monomial,
 )
 from .sequence import ParameterFrame, SequenceState
-from .values import ValueVector
+from .values import ValueVector, _format_fraction
 
 
 class MonomialForm:
@@ -99,12 +99,7 @@ def ord_trace(form: MonomialForm, word: Sequence[int]) -> tuple[int, ...]:
 
 def value_of_form(frame_values: Sequence[ValueVector], form: MonomialForm) -> ValueVector:
     """The smallest value attained on the support."""
-    best = monomial_value(frame_values, form.support[0])
-    for m in form.support[1:]:
-        v = monomial_value(frame_values, m)
-        if v.cmp(best) < 0:
-            best = v
-    return best
+    return least_value(frame_values, form.support)
 
 
 # -- exhaustive order-drop sweeps ---------------------------------------------
@@ -237,10 +232,6 @@ def _rational_ratio(f_val: ValueVector, g_val: ValueVector) -> Fraction | None:
     return q
 
 
-def _format(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def ratio_limit_report(
     frame: ParameterFrame,
     f: MonomialForm,
@@ -289,7 +280,8 @@ def ratio_limit_report(
             "kind": "irrational",
             "value_f": f_val.serialize(),
             "value_g": g_val.serialize(),
-            "interval": {"lo": _format(flo / ghi), "hi": _format(fhi / glo)},
+            "interval": {"lo": _format_fraction(flo / ghi),
+                         "hi": _format_fraction(fhi / glo)},
         }
     return {"trace": trace, "limit": limit}
 

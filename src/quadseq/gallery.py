@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import ConfigError
-from .sequence import ParameterFrame, SequenceState
+from .sequence import ParameterFrame, SequenceState, prefix_dominance
 from .values import RealBasis, ValueVector
 
 
@@ -289,10 +289,8 @@ def gen_714(episodes: int = 20) -> Scenario:
         boundaries.append(len(plan))
 
     def law(k: int) -> Fraction:
-        total = Fraction(3)
-        for n in range(1, k):
-            total += 1 + Fraction(1, 4) ** n
-        return total
+        # 3 + sum over 1 <= n < k of (1 + 4^-n), in closed form
+        return k + 2 + (1 - Fraction(1, 4) ** (k - 1)) / 3
 
     def stream(k: int) -> Iterator[TermGroup]:
         if k >= 1:
@@ -385,13 +383,8 @@ def _stays_covered(values) -> bool:
     """
     import functools
 
-    a = sorted(values, key=functools.cmp_to_key(lambda u, v: u.cmp(v)))
-    prefix = a[0]
-    for j in range(3, len(a) + 1):
-        prefix = prefix + a[j - 2]
-        if a[j - 1].scale(j - 2).cmp(prefix) >= 0:
-            return False
-    return True
+    return prefix_dominance(
+        sorted(values, key=functools.cmp_to_key(lambda u, v: u.cmp(v))))
 
 
 def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
@@ -445,19 +438,21 @@ def build_preset(name: str, steps: int | None = None,
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    # an explicit 0 reaches the generator's own ">= 1" check
+    n = ({"dvr": 1000, "random": 200, "rr1": 40}.get(name, 20)
+         if steps is None else steps)
     if name == "shannon-4.18":
-        return gen_shannon_418(episodes=steps or 20)
+        return gen_shannon_418(episodes=n)
     if name == "rr1":
-        return gen_notunion_rr1(steps=steps or 40, **kwargs)
+        return gen_notunion_rr1(steps=n, **kwargs)
     if name == "gmr-7.13":
-        return gen_713(episodes=steps or 20)
+        return gen_713(episodes=n)
     if name == "gmr-7.14":
-        return gen_714(episodes=steps or 20)
+        return gen_714(episodes=n)
     if name == "dvr":
-        return gen_dvr(d=kwargs.pop("d", 2), steps=steps or 1000)
+        return gen_dvr(d=kwargs.pop("d", 2), steps=n)
     return gen_random_independent(
-        d=kwargs.pop("d", 3), seed=seed if seed is not None else 0,
-        steps=steps or 200)
+        d=kwargs.pop("d", 3), seed=seed if seed is not None else 0, steps=n)
 
 
 def list_presets() -> list[str]:

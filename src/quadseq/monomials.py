@@ -182,3 +182,13 @@ def monomial_value(frame_values: Sequence[ValueVector], m: Monomial) -> ValueVec
         if e:
             total = total + v.scale(e)
     return total
+
+
+def least_value(frame_values: Sequence[ValueVector], monos: Sequence[Monomial]) -> ValueVector:
+    """The smallest value among ``monos``: a form's support, an ideal's generators."""
+    best = monomial_value(frame_values, monos[0])
+    for m in monos[1:]:
+        v = monomial_value(frame_values, m)
+        if v.cmp(best) < 0:
+            best = v
+    return best

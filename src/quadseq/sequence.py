@@ -20,6 +20,7 @@ float.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -100,8 +101,6 @@ class StepRecord:
 
 
 def _common_den(vectors: Sequence[ValueVector]):
-    import math
-
     den = 1
     for v in vectors:
         den = math.lcm(den, v._den)
@@ -277,7 +276,9 @@ class SequenceState:
 
     # -- stepping ------------------------------------------------------------
 
-    def _argmin_unique(self) -> int:
+    def _argmin(self, unique: bool) -> int:
+        """Index of the smallest value, lowest index on a tie; a tie raises
+        AmbiguousDirection when ``unique``."""
         sh, errs, _ = self._ensure_shadows()
         mi = 0
         for i in range(1, self.dim):
@@ -285,22 +286,25 @@ class SequenceState:
                 mi = i
         for i in range(self.dim):
             if i != mi and sh[i] - sh[mi] <= errs[i] + errs[mi]:
-                # shadow gap inconclusive: settle exactly
-                mi = 0
-                for j in range(1, self.dim):
-                    if self._cmp_exact(j, mi) < 0:
-                        mi = j
-                for j in range(self.dim):
-                    if j != mi and self._cmp_exact(j, mi) == 0:
-                        raise AmbiguousDirection(
-                            f"minimum attained by both {self.names[mi]} and {self.names[j]}"
-                        )
-                return mi
+                break
+        else:
+            return mi
+        # shadow gap inconclusive: settle exactly
+        mi = 0
+        for j in range(1, self.dim):
+            if self._cmp_exact(j, mi) < 0:
+                mi = j
+        if unique:
+            for j in range(self.dim):
+                if j != mi and self._cmp_exact(j, mi) == 0:
+                    raise AmbiguousDirection(
+                        f"minimum attained by both {self.names[mi]} and {self.names[j]}"
+                    )
         return mi
 
     def step_argmin(self) -> tuple["SequenceState", int]:
         """One monomial step in the direction of the unique smallest value."""
-        mi = self._argmin_unique()
+        mi = self._argmin(unique=True)
         return self._monomial(mi, 1, checked=True), mi
 
     def step_in_direction(self, direction: int) -> "SequenceState":
@@ -386,21 +390,7 @@ class SequenceState:
 
     def current_min(self) -> tuple[int, ValueVector]:
         """Index and value of a minimal frame entry (ties resolved to lowest index)."""
-        sh, errs, _ = self._ensure_shadows()
-        mi = 0
-        certain = True
-        for i in range(1, self.dim):
-            if sh[i] < sh[mi]:
-                mi = i
-        for i in range(self.dim):
-            if i != mi and sh[i] - sh[mi] <= errs[i] + errs[mi]:
-                certain = False
-                break
-        if not certain:
-            mi = 0
-            for j in range(1, self.dim):
-                if self._cmp_exact(j, mi) < 0:
-                    mi = j
+        mi = self._argmin(unique=False)
         return mi, ValueVector._raw(self.basis, self._vals[mi], self._den)
 
     def rescale(self, new_values: Sequence[ValueVector],
@@ -419,8 +409,6 @@ class SequenceState:
             v._check_basis(ref)
             if v.sign() <= 0:
                 raise NonPositiveValue("rescaled frame values must stay positive")
-        import math
-
         _, m = self.current_min()
         nums, den = _common_den(tuple(new_values))
         full = math.lcm(den, self._den)
@@ -560,19 +548,13 @@ class SequenceState:
             s = max(lo, 1)
             if a[0].scale(s).cmp(a[1]) < 0 and a[1].cmp(a[0].scale(s + 1)) < 0:
                 gap_integer = s
-        prefix_dominance = True
-        prefix = a[0] + a[1] if self.dim >= 2 else None
-        for j in range(3, self.dim + 1):
-            if a[j - 1].scale(j - 2).cmp(prefix) >= 0:
-                prefix_dominance = False
-            if j <= self.dim - 1:
-                prefix = prefix + a[j - 1]
+        dominance = prefix_dominance(a)
         return {
             "order": tuple(self.names[i] for i in order),
             "ascending": ascending,
             "gap_integer": gap_integer,
-            "prefix_dominance": prefix_dominance,
-            "all_hold": ascending and gap_integer is not None and prefix_dominance,
+            "prefix_dominance": dominance,
+            "all_hold": ascending and gap_integer is not None and dominance,
         }
 
     def quotient_sequence(self, killed: int) -> "SequenceState":
@@ -600,6 +582,16 @@ class SequenceState:
                     else keep.index(rec.direction),
                 )
         return st
+
+
+def prefix_dominance(a: Sequence[ValueVector]) -> bool:
+    """(j-2)*a_j < a_1 + ... + a_(j-1) for every j >= 3, in the given order."""
+    prefix = None
+    for j in range(3, len(a) + 1):
+        prefix = a[0] + a[1] if prefix is None else prefix + a[j - 2]
+        if a[j - 1].scale(j - 2).cmp(prefix) >= 0:
+            return False
+    return True
 
 
 def _vec_total(vals: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -22,9 +22,9 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     extend_ideal,
-    monomial_value,
+    least_value,
 )
-from .sequence import ParameterFrame, SequenceState
+from .sequence import ParameterFrame, SequenceState, _common_den
 from .values import ValueVector
 
 FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
@@ -50,16 +50,9 @@ class _FrameData:
         if not vals:
             raise ValueError("empty frame")
         self.basis = vals[0].basis
-        import math
-
-        den = 1
         for v in vals:
             v._check_basis(vals[0])
-            den = math.lcm(den, v._den)
-        self.den = den
-        self.rows = tuple(
-            tuple(n * (den // v._den) for n in v._nums) for v in vals
-        )
+        self.rows, self.den = _common_den(vals)
         self.values = vals
         self.floats = np.array([float(v) for v in vals])
         self.dim = len(vals)
@@ -251,13 +244,7 @@ def videal_at(frame: FrameLike, threshold: ValueVector, strict: bool = False) ->
 
 def ideal_value(frame: FrameLike, ideal: MonomialIdeal) -> ValueVector:
     """min over generators of v(g): the value of the ideal."""
-    vals = _values_of(frame)
-    best = monomial_value(vals, ideal.generators[0])
-    for g in ideal.generators[1:]:
-        v = monomial_value(vals, g)
-        if v.cmp(best) < 0:
-            best = v
-    return best
+    return least_value(_values_of(frame), ideal.generators)
 
 
 def colength_step(frame: FrameLike, threshold: ValueVector) -> int:

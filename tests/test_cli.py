@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadseq import cli
-from quadseq.checks import CheckResult
+from quadseq import cli, gallery
+from quadseq.checks import CheckResult, collect_artifacts
 
 ALL_CHECKS = [
     "eq631", "bound63", "switching-witness", "thm33a", "prop344",
@@ -143,6 +143,80 @@ def test_config_errors_exit_two(tmp_path, capsys):
     }))
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert "record 1" in capsys.readouterr().err
+    # the x step leaves (1, 2), so the y step that follows overshoots x
+    cfg.write_text(json.dumps({
+        "dimension": 2,
+        "frame": ["1", "3"],
+        "mode": "scripted",
+        "plan": [{"kind": "monomial", "direction": 0},
+                 {"kind": "monomial", "direction": 1}],
+    }))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "record 2" in capsys.readouterr().err
+
+
+_SCRIPTED = {"dimension": 2, "frame": ["1", "3"], "mode": "scripted"}
+
+
+@pytest.mark.parametrize("cfg, where", [
+    ({**_SCRIPTED, "plan": [{"kind": "monomial", "direction": 0, "count": "abc"}]},
+     "plan[0].count"),
+    # 0.9 used to be truncated to direction x
+    ({**_SCRIPTED, "plan": [{"kind": "monomial", "direction": 0.9}]},
+     "plan[0].direction"),
+    ({**_SCRIPTED, "plan": [], "boundaries": [True]}, "boundaries[0]"),
+    ({"preset": "dvr", "preset_options": {"d": 2.5}}, "preset_options.d"),
+    ({"preset": "random", "options": {"ratio_f": [[0, "1/2", 0]]}},
+     "options.ratio_f"),
+], ids=["count", "direction", "boundary", "preset-d", "exponent"])
+def test_non_integer_config_values_exit_two(tmp_path, capsys, cfg, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert f"config error: {where}" in capsys.readouterr().err
+
+
+def test_zero_steps_reaches_the_preset_check(tmp_path, capsys):
+    assert cli.main(["run", "--preset", "dvr", "--steps", "0",
+                     "--out", str(tmp_path)]) == 2
+    assert "steps must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("checks", [["--checks", "all"], []])
+def test_run_replays_the_scenario_once(monkeypatch, tmp_path, checks):
+    real = gallery.replay_states
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario.name)
+        return real(scenario)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quadseq") and getattr(mod, "replay_states", None) is real:
+            monkeypatch.setattr(mod, "replay_states", counting)
+    assert cli.main(["run", "--preset", "random", "--steps", "30", "--seed", "4",
+                     *checks, "--out", str(tmp_path)]) == 0
+    assert calls == ["random-d3-s4"]
+
+
+@pytest.mark.parametrize("scenario", [
+    gallery.gen_shannon_418(episodes=6),
+    gallery.gen_713(episodes=5),
+    gallery.gen_notunion_rr1(steps=25, embed3d=True),
+    gallery.gen_random_independent(4, seed=9, steps=60),
+], ids=lambda sc: sc.name)
+@pytest.mark.parametrize("width", [Fraction(1, 10**6), Fraction(1, 7)])
+def test_trace_matches_an_independent_replay(scenario, width):
+    rows = cli.build_trace(collect_artifacts(scenario), width)
+    states = list(gallery.replay_states(scenario))
+    assert len(rows) == len(states) >= 1
+    for n, (row, st) in enumerate(zip(rows, states), start=1):
+        m_lo, m_hi = st.m_value(n - 1).evaluate_interval(width)
+        e_lo, e_hi = st.partial_sum.evaluate_interval(width)
+        assert row["step"] == n
+        assert (row["m_lo"], row["m_hi"]) == (cli._frac_str(m_lo), cli._frac_str(m_hi))
+        assert (row["E_lo"], row["E_hi"]) == (cli._frac_str(e_lo), cli._frac_str(e_hi))
 
 
 def test_unknown_preset_and_check_exit_two(capsys):
