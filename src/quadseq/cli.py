@@ -153,6 +153,18 @@ def _parse_options(obj) -> dict:
     if "small_threshold" in options:
         options["small_threshold"] = _to_rational(
             options["small_threshold"], "options.small_threshold")
+    for key in ("chain_length", "n_ideals", "word_cap", "max_degree",
+                "ratio_steps", "tau_max_steps", "prefix_cap"):
+        if key in options:
+            options[key] = _to_int(options[key], f"options.{key}")
+    if "windows" in options:
+        windows = options["windows"]
+        if isinstance(windows, list):
+            windows = [_to_int(w, f"options.windows[{i}]")
+                       for i, w in enumerate(windows)]
+        if not isinstance(windows, list) or min(windows, default=0) < 0:
+            raise ConfigError("options.windows: must be a list of integers >= 0")
+        options["windows"] = windows
     for key in ("ratio_f", "ratio_g"):
         if key in options:
             options[key] = [tuple(_to_int(e, f"options.{key}") for e in m)
@@ -172,6 +184,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if key not in cfg:
             raise ConfigError(f"inline scenario needs {key!r} (or use a preset)")
     dim = _to_int(cfg["dimension"], "dimension")
+    if dim < 1:
+        raise ConfigError(f"dimension: must be >= 1, got {dim}")
     basis = (RealBasis.from_obj(cfg["basis"]) if "basis" in cfg
              else RealBasis.default(dim))
     frame_spec = cfg["frame"]
@@ -183,6 +197,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     mode = cfg.get("mode", "argmin")
     name = cfg.get("name", "scenario")
     if mode == "argmin":
+        if steps is not None and steps < 1:
+            raise ConfigError(f"steps: must be >= 1, got {steps}")
         return Scenario(name=name, frame=frame, mode="argmin",
                         steps=steps or 0,
                         seed=cfg.get("seed"))

@@ -15,12 +15,15 @@ state carries small fixed-point "shadow" mantissas with rigorous error
 bounds; comparisons are decided by the shadows whenever the gap exceeds
 the accumulated error and fall back to full sign refinement otherwise,
 so a 10^4-step run costs fractions of a second without ever trusting a
-float.
+float.  A state decides once whether its shadows are still precise
+enough, refreshing them if not.  Argmin, scripted and run-length steps
+and the quotient replay all go through one step kernel, ``_monomial``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -117,7 +120,7 @@ class SequenceState:
         "basis", "names", "dim",
         "_den", "_vals", "_E", "_n", "_hist", "_counts",
         "_seg_E0", "_seg_sum0", "_rescaled", "_sum0", "_frame0",
-        "_sh", "_sherr", "_shscale", "_slack_sh", "_slack_err",
+        "_sh", "_sherr", "_shscale", "_slack_sh", "_slack_err", "_shok",
     )
 
     # -- construction --------------------------------------------------------
@@ -148,6 +151,7 @@ class SequenceState:
         st._shscale = 0
         st._slack_sh = None
         st._slack_err = 0
+        st._shok = False
         st._ensure_shadows()
         return st
 
@@ -177,6 +181,7 @@ class SequenceState:
         st._shscale = shscale
         st._slack_sh = slack_sh
         st._slack_err = slack_err
+        st._shok = False
         return st
 
     # -- shadow machinery ----------------------------------------------------
@@ -193,8 +198,12 @@ class SequenceState:
         return sh, (2,) * self.dim
 
     def _ensure_shadows(self):
+        """The state's shadows, validated (or refreshed) once per state."""
         sh, errs, T = self._sh, self._sherr, self._shscale
+        if self._shok:
+            return sh, errs, T
         if sh is not None and min(sh) >= (1 << _SH_MIN) and max(errs) <= _SH_ERR_MAX:
+            self._shok = True
             return sh, errs, T
         if sh is None:
             # probe the magnitude of the smallest value
@@ -218,6 +227,7 @@ class SequenceState:
             gap = tuple(s0 - d1 * e for s0, e in zip(self._sum0, self._E))
             self._slack_sh = self._shadow_eval(gap, T)
             self._slack_err = 2
+        self._shok = True
         return sh, errs, T
 
     def _cmp_exact(self, i: int, j: int) -> int:
@@ -280,12 +290,11 @@ class SequenceState:
         """Index of the smallest value, lowest index on a tie; a tie raises
         AmbiguousDirection when ``unique``."""
         sh, errs, _ = self._ensure_shadows()
-        mi = 0
-        for i in range(1, self.dim):
-            if sh[i] < sh[mi]:
-                mi = i
+        shm = min(sh)
+        mi = sh.index(shm)
+        errm = errs[mi]
         for i in range(self.dim):
-            if i != mi and sh[i] - sh[mi] <= errs[i] + errs[mi]:
+            if i != mi and sh[i] - shm <= errs[i] + errm:
                 break
         else:
             return mi
@@ -328,25 +337,21 @@ class SequenceState:
     def _monomial(self, mi: int, count: int, checked: bool) -> "SequenceState":
         sh, errs, T = self._ensure_shadows()
         vm = self._vals[mi]
+        cvm = vm if count == 1 else tuple(count * b for b in vm)
         shm, errm = sh[mi], errs[mi]
+        cshm, cerrm = count * shm, count * errm
         if not checked:
             # validity: every other value must stay strictly positive after
             # subtracting count * v(mi), which also certifies minimality at
             # every intermediate step of the run
             for w in range(self.dim):
-                if w == mi:
-                    continue
-                gap = sh[w] - count * shm
-                slack = errs[w] + count * errm
-                if gap > slack:
+                if w == mi or sh[w] - cshm > errs[w] + cerrm:
                     continue
                 sgn = self._value_sign_exact(
-                    tuple(a - count * b for a, b in zip(self._vals[w], vm))
-                )
+                    tuple(map(operator.sub, self._vals[w], cvm)))
                 if sgn < 0:
                     mid = self._value_sign_exact(
-                        tuple(a - b for a, b in zip(self._vals[w], vm))
-                    )
+                        tuple(map(operator.sub, self._vals[w], vm)))
                     if mid < 0:
                         raise DirectionNotMinimal(
                             f"{self.names[mi]} is not minimal: {self.names[w]} is smaller"
@@ -358,30 +363,22 @@ class SequenceState:
                     raise NonPositiveValue(
                         f"value of {self.names[w]} would reach zero"
                     )
-        vals = tuple(
-            v if i == mi else tuple(a - count * b for a, b in zip(v, vm))
-            for i, v in enumerate(self._vals)
-        )
-        E = tuple(e + count * b for e, b in zip(self._E, vm))
-        new_sh = tuple(
-            s if i == mi else s - count * shm for i, s in enumerate(sh)
-        )
-        new_err = tuple(
-            e if i == mi else e + count * errm + 1 for i, e in enumerate(errs)
-        )
-        counts = tuple(
-            c + count if i == mi else c for i, c in enumerate(self._counts)
-        )
-        record = StepRecord(
-            kind="monomial",
-            direction=mi,
-            m_value=ValueVector._raw(self.basis, vm, self._den),
-            count=count,
-        )
+        # every row but mi drops by count * v(mi); list copies, mi fixed up
+        vals = [tuple(map(operator.sub, row, cvm)) for row in self._vals]
+        vals[mi] = vm
+        new_sh = [s - cshm for s in sh]
+        new_sh[mi] = shm
+        new_err = [e + cerrm + 1 for e in errs]
+        new_err[mi] = errm
+        counts = list(self._counts)
+        counts[mi] += count
+        E = tuple(map(operator.add, self._E, cvm))
+        record = StepRecord("monomial", mi,
+                            ValueVector._raw(self.basis, vm, self._den), count)
         if self._slack_sh is not None:
             d1 = self.dim - 1
-            slack_sh = self._slack_sh - d1 * count * shm
-            slack_err = self._slack_err + d1 * count * errm + 1
+            slack_sh = self._slack_sh - d1 * cshm
+            slack_err = self._slack_err + d1 * cerrm + 1
         else:
             slack_sh, slack_err = None, 0
         return self._spawn(vals, self._den, E, record, counts,
@@ -423,11 +420,9 @@ class SequenceState:
             m_value=m,
             new_values=tuple(new_values),
         )
-        counts = self._counts
+        counts = list(self._counts)
         if direction is not None:
-            counts = tuple(
-                c + 1 if i == direction else c for i, c in enumerate(counts)
-            )
+            counts[direction] += 1
         st = self._spawn(vals, den, E, record, counts,
                          E, _vec_total(vals), True,
                          None, None, 0, None, 0)
@@ -444,10 +439,10 @@ class SequenceState:
         directions were stepped.
         """
         d1 = self.dim - 1
-        total = _vec_total(self._vals)
         return all(
             d1 * (e - e0) + t - t0 == 0
-            for e, e0, t, t0 in zip(self._E, self._seg_E0, total, self._seg_sum0)
+            for e, e0, t, t0 in zip(self._E, self._seg_E0,
+                                    map(sum, zip(*self._vals)), self._seg_sum0)
         )
 
     def series_bound(self) -> ValueVector:

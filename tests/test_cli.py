@@ -168,12 +168,50 @@ _SCRIPTED = {"dimension": 2, "frame": ["1", "3"], "mode": "scripted"}
     ({"preset": "dvr", "preset_options": {"d": 2.5}}, "preset_options.d"),
     ({"preset": "random", "options": {"ratio_f": [[0, "1/2", 0]]}},
      "options.ratio_f"),
-], ids=["count", "direction", "boundary", "preset-d", "exponent"])
+    # 2.5 used to reach a slice and escape as a raw TypeError
+    ({"preset": "random", "options": {"chain_length": 2.5},
+      "checks": ["videal-chain"]}, "options.chain_length"),
+    ({"preset": "random", "options": {"windows": [1, "two"]},
+      "checks": ["switching-witness"]}, "options.windows[1]"),
+], ids=["count", "direction", "boundary", "preset-d", "exponent",
+        "chain-length", "window"])
 def test_non_integer_config_values_exit_two(tmp_path, capsys, cfg, where):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path)]) == 2
     assert f"config error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("windows", [[-1], 5])
+def test_bad_windows_exit_two(tmp_path, capsys, windows):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "random", "options": {"windows": windows},
+                                "checks": ["switching-witness"]}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "config error: options.windows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [-3, 0])
+def test_inline_argmin_steps_below_one_exit_two(tmp_path, capsys, steps):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dimension": 2, "frame": ["1", "3"], "steps": steps}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: steps: must be >= 1, got {steps}" in capsys.readouterr().err
+    assert not out.exists()
+    # leaving steps out still runs an empty argmin scenario
+    path.write_text(json.dumps({"dimension": 2, "frame": ["1", "3"]}))
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["trace"] == []
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_inline_dimension_below_one_exits_two(tmp_path, capsys, dimension):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dimension": dimension, "frame": []}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert (f"config error: dimension: must be >= 1, got {dimension}"
+            in capsys.readouterr().err)
 
 
 def test_zero_steps_reaches_the_preset_check(tmp_path, capsys):

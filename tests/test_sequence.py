@@ -15,7 +15,7 @@ from quadseq.errors import (
     KilledDirectionUsed,
     NonPositiveValue,
 )
-from quadseq.sequence import ParameterFrame, SequenceState
+from quadseq.sequence import ParameterFrame, SequenceState, StepRecord
 from quadseq.values import RealBasis
 
 B2 = RealBasis.default(2)
@@ -217,6 +217,18 @@ def test_history_branches_do_not_interfere():
     assert b.history[0] == c.history[0]
     assert b.history[1].kind == "monomial" and b.history[1].direction == 1
     assert c.history[1].kind == "rescale"
+    # shadow validity is decided per state: a settled its own, b has not yet,
+    # and the rescale sibling c rebuilt fresh shadows at its own scale
+    assert a._shok and not b._shok
+    assert c._shok and c._sherr == (2, 2)
+    assert c._sh == c._fresh_shadows(c._shscale)[0]
+    b.step_argmin()
+    assert b._shok  # b settled its own after its sibling did
+    d = a.rescale((B2.value([0, 1]), B2.rational(3)))
+    assert d._shok and d._sherr == (2, 2)
+    for branch in (b, d):
+        fresh = SequenceState.from_frame(branch.frame_values)
+        assert run_argmin(branch, 20)[1] == run_argmin(fresh, 20)[1]
 
 
 def _random_frame(rng, d):
@@ -245,3 +257,139 @@ def test_random_runs_keep_invariants(seed, d):
         prev_m = m
     for v in state.frame_values:
         assert v.sign() > 0
+
+
+class _Oracle:
+    """Shadow-free reference: argmin by ValueVector.cmp, exact subtraction."""
+
+    def __init__(self, values):
+        self.vals = list(values)
+        self.E = self.vals[0].basis.zero()
+        self.hist = []
+
+    def argmin(self):
+        """Lowest index of a minimal value, and whether the minimum is tied."""
+        mi = 0
+        for j in range(1, len(self.vals)):
+            if self.vals[j].cmp(self.vals[mi]) < 0:
+                mi = j
+        tied = any(j != mi and v.cmp(self.vals[mi]) == 0
+                   for j, v in enumerate(self.vals))
+        return mi, tied
+
+    def overshoot(self, w, count):
+        """The error a run of ``count`` steps in ``w`` raises, or None."""
+        for j, v in enumerate(self.vals):
+            sgn = 1 if j == w else (v - self.vals[w].scale(count)).sign()
+            if sgn < 0:
+                return DirectionNotMinimal
+            if sgn == 0:
+                return NonPositiveValue
+        return None
+
+    def step(self, w, count=1):
+        m = self.vals[w]
+        self.vals = [v if j == w else v - m.scale(count)
+                     for j, v in enumerate(self.vals)]
+        self.E = self.E + m.scale(count)
+        self.hist.append(StepRecord("monomial", w, m, count))
+
+    def rescale(self, new_values, direction):
+        m = self.vals[self.argmin()[0]]
+        self.vals = list(new_values)
+        self.E = self.E + m
+        self.hist.append(StepRecord("rescale", direction, m,
+                                    new_values=tuple(new_values)))
+
+
+def _assert_agrees(state, oracle):
+    assert state.frame_values == tuple(oracle.vals)
+    assert state.partial_sum == oracle.E
+    assert state.history == tuple(oracle.hist)
+
+
+def _argmin_phase(state, oracle, steps):
+    """Step both ``steps`` times; None once a tie stops the run."""
+    for _ in range(steps):
+        w, tied = oracle.argmin()
+        if tied:
+            with pytest.raises(AmbiguousDirection):
+                state.step_argmin()
+            return None
+        state, got = state.step_argmin()
+        assert got == w
+        oracle.step(w)
+    _assert_agrees(state, oracle)
+    return state
+
+
+_BIG = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+
+@st.composite
+def _big_values(draw, d):
+    """d positive values over the default basis of size d, heights up to 10^12."""
+    basis = RealBasis.default(d)
+    values = []
+    for _ in range(d):
+        v = basis.value(draw(st.lists(_BIG, min_size=d, max_size=d)))
+        values.append(v if v.sign() > 0 else -v if v.sign() < 0 else basis.rational(1))
+    return values
+
+
+@st.composite
+def _big_runs(draw):
+    d = draw(st.integers(2, 5))
+    return (draw(_big_values(d)), draw(_big_values(d)),
+            draw(st.integers(2, 6)), draw(st.one_of(st.none(), st.integers(0, d - 1))))
+
+
+@given(_big_runs())
+@settings(max_examples=60, deadline=None)
+def test_stepping_matches_a_shadow_free_oracle(run):
+    frame, new_values, count, rescale_dir = run
+    state = SequenceState.from_frame(frame)
+    oracle = _Oracle(frame)
+    state = _argmin_phase(state, oracle, 25)
+    if state is None:
+        return
+    # a run of `count` steps in the minimal direction, cut back to the
+    # longest run that keeps every other value positive
+    w, tied = oracle.argmin()
+    if not tied:
+        while (err := oracle.overshoot(w, count)) is not None:
+            with pytest.raises(err):
+                state.run_in_direction(w, count)
+            count -= 1
+        state = state.run_in_direction(w, count)
+        oracle.step(w, count)
+        _assert_agrees(state, oracle)
+    state = state.rescale(new_values, direction=rescale_dir)
+    oracle.rescale(new_values, rescale_dir)
+    _assert_agrees(state, oracle)
+    _argmin_phase(state, oracle, 25)
+
+
+def test_long_runs_refresh_the_shadows_once_per_state(monkeypatch):
+    real = SequenceState._fresh_shadows
+    refreshed = []
+
+    def counting(self, T):
+        refreshed.append(self.step_count)
+        return real(self, T)
+
+    monkeypatch.setattr(SequenceState, "_fresh_shadows", counting)
+    state = SequenceState.from_frame(frame_1_sqrt2())
+    oracle = _Oracle(state.frame_values)
+    states = [state]
+    for _ in range(300):
+        state = _argmin_phase(state, oracle, 1)
+        assert state.conservation_check() and state.bound_gap_sign() > 0
+        states.append(state)
+    assert refreshed[0] == 0
+    assert any(n > 0 for n in refreshed), "300 steps never refreshed the shadows"
+    # every state settled its shadows once: asking again rebuilds nothing
+    before = len(refreshed)
+    for s in states[:-1]:
+        assert s._ensure_shadows()[0] is s._sh
+    assert len(refreshed) == before
