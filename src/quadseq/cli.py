@@ -144,19 +144,29 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
     return tuple(steps)
 
 
-def _parse_options(obj) -> dict:
+# each integer option with its least meaningful value
+_INT_OPTIONS = {"chain_length": 1, "n_ideals": 1, "word_cap": 1, "max_degree": 1,
+                "ratio_steps": 1, "prefix_cap": 1, "tau_max_steps": 0}
+_OPTIONS = {"small_threshold", "windows", "ratio_f", "ratio_g", *_INT_OPTIONS}
+
+
+def _parse_options(obj, dim: int) -> dict:
     if obj is None:
         return {}
     if not isinstance(obj, dict):
         raise ConfigError("options must be an object")
+    unknown = sorted(set(obj) - _OPTIONS)
+    if unknown:
+        raise ConfigError(f"options: unknown keys {unknown}")
     options = dict(obj)
     if "small_threshold" in options:
         options["small_threshold"] = _to_rational(
             options["small_threshold"], "options.small_threshold")
-    for key in ("chain_length", "n_ideals", "word_cap", "max_degree",
-                "ratio_steps", "tau_max_steps", "prefix_cap"):
+    for key, least in _INT_OPTIONS.items():
         if key in options:
-            options[key] = _to_int(options[key], f"options.{key}")
+            options[key] = n = _to_int(options[key], f"options.{key}")
+            if n < least:
+                raise ConfigError(f"options.{key}: must be >= {least}, got {n}")
     if "windows" in options:
         windows = options["windows"]
         if isinstance(windows, list):
@@ -167,8 +177,14 @@ def _parse_options(obj) -> dict:
         options["windows"] = windows
     for key in ("ratio_f", "ratio_g"):
         if key in options:
+            monos = options[key]
+            if not isinstance(monos, list) or not all(
+                    isinstance(m, list) and len(m) == dim for m in monos):
+                raise ConfigError(f"options.{key}: must be a list of lists of {dim} exponents")
             options[key] = [tuple(_to_int(e, f"options.{key}") for e in m)
-                            for m in options[key]]
+                            for m in monos]
+            if any(e < 0 for m in options[key] for e in m):
+                raise ConfigError(f"options.{key}: exponents must be >= 0")
     return options
 
 
@@ -305,7 +321,7 @@ def cmd_run(args) -> int:
     if args.checks is not None:
         check_ids = (list_checks() if args.checks == "all"
                      else [c for c in args.checks.split(",") if c])
-    options = _parse_options(cfg.get("options"))
+    options = _parse_options(cfg.get("options"), scenario.frame.dim)
 
     output = cfg.get("output") or {}
     width = DEFAULT_WIDTH

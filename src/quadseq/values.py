@@ -207,25 +207,20 @@ class RealBasis:
         return max(self.max_bits, min(formula, 1 << 22))
 
     def _sign_of_combo(self, nums: Sequence[int]) -> int:
-        """Sign of sum(nums[i] * generator[i]), exact."""
-        nz = [(n, g) for n, g in zip(nums, self.generators) if n != 0]
-        if not nz:
-            return 0
+        """Sign of sum(nums[i] * generator[i]), exact: one fixpoint per
+        round at doubling precision, capped only if 64 bits do not decide."""
         bits = 64
-        cap = self._effective_cap(nums)
+        cap = None
         while True:
-            s = 0
-            err = 0
-            for n, g in nz:
-                s += n * g.fixpoint(bits)
-                if not g.is_rational:
-                    err += abs(n)
-            if err == 0:
-                return (s > 0) - (s < 0)
+            s, err = self._eval_fixpoint(nums, bits)
             if s > err:
                 return 1
             if s < -err:
                 return -1
+            if err == 0:
+                return 0
+            if cap is None:
+                cap = self._effective_cap(nums)
             bits <<= 1
             if bits > cap:
                 raise IndeterminateComparison(
@@ -429,10 +424,6 @@ class ValueVector:
             if hi - lo <= max_width:
                 return lo, hi
             bits <<= 1
-
-    def __float__(self):
-        lo, hi = self.evaluate_interval(Fraction(1, 10**15))
-        return float((lo + hi) / 2)
 
 
 def _format_fraction(q: Fraction) -> str:

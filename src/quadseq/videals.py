@@ -3,19 +3,24 @@
 The frame assigns each variable a positive value; a monomial's value is
 the exponent-weighted sum.  For a threshold t the sets {v(m) >= t} and
 {v(m) > t} are monomial ideals, and walking the distinct attained values
-upward produces the descending chain of valuation ideals.  Enumeration
-works over one finite exponent box whose values are carried as exact
-integer coordinate rows, so equality and counting never round; order
-decisions use a float preview and fall back to exact sign refinement
-only within a guard margin of the boundary.
+upward produces the descending chain of valuation ideals.
+
+Everything rests on one exact census, ``_FrameData.below``: the
+staircase of monomials under a threshold, walked breadth first.  Each
+monomial carries its exact integer value row over the frame's common
+denominator and an integer fixpoint with a proven error bound.  The
+fixpoint decides a comparison whenever the gap exceeds the error, and
+exact sign refinement decides the rest.  Value equality is row
+equality, and the minimal generators of a threshold ideal are the
+corners of the staircase, found by set lookups.  No float is involved.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import NotTerminated
 from .monomials import (
@@ -23,223 +28,172 @@ from .monomials import (
     MonomialIdeal,
     extend_ideal,
     least_value,
+    monomial_value,
 )
 from .sequence import ParameterFrame, SequenceState, _common_den
 from .values import ValueVector
 
 FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
 
-# float margin used only to route near-boundary rows to exact arithmetic;
-# the true float error for desk-sized boxes is many orders smaller
-_MARGIN = 1e-6
-
 _cmp_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
 
 
 def _values_of(frame: FrameLike) -> tuple[ValueVector, ...]:
-    if isinstance(frame, ParameterFrame):
-        return frame.values
-    return tuple(frame)
+    if not isinstance(frame, ParameterFrame):
+        frame = ParameterFrame(tuple(frame))  # refuses values <= 0
+    return frame.values
+
+
+def _plus(m: Monomial, i: int) -> Monomial:
+    return m[:i] + (m[i] + 1,) + m[i + 1:]
 
 
 class _FrameData:
-    """Frame values over one shared denominator, with float previews."""
+    """Frame values as integer rows over one common denominator ``den``,
+    each with the fixpoint ``fix[i] = (s_i, err_i)`` of sign refinement:
+    |s_i - 2^bits * row_i| <= err_i.  ``bits`` starts at 64 and doubles
+    until every s_i exceeds its error 2^32-fold, so that the fixpoints
+    decide most comparisons even for a value like p - q*sqrt2 whose large
+    coefficients nearly cancel.
+    """
 
     def __init__(self, frame: FrameLike):
         vals = _values_of(frame)
-        if not vals:
-            raise ValueError("empty frame")
         self.basis = vals[0].basis
-        for v in vals:
-            v._check_basis(vals[0])
         self.rows, self.den = _common_den(vals)
-        self.values = vals
-        self.floats = np.array([float(v) for v in vals])
         self.dim = len(vals)
+        self.bits = 64
+        while True:
+            self.fix = [self.basis._eval_fixpoint(r, self.bits) for r in self.rows]
+            if all(s > e << 32 for s, e in self.fix):
+                break
+            self.bits <<= 1
 
-    def value_vector(self, m: Monomial) -> ValueVector:
-        nums = tuple(
-            sum(e * row[j] for e, row in zip(m, self.rows))
-            for j in range(self.basis.size)
-        )
-        return ValueVector._raw(self.basis, nums, self.den)
+    def value(self, row: tuple) -> ValueVector:
+        return ValueVector._raw(self.basis, row, self.den)
 
-    def cmp_threshold(self, m: Monomial, t: ValueVector) -> int:
-        """Exact sign of v(m) - t."""
-        combo = tuple(
-            a * t._den - b * self.den
-            for a, b in zip(self.value_vector(m)._nums, t._nums)
-        )
-        return self.basis._sign_of_combo(combo)
+    def side(self, t: ValueVector):
+        """The exact sign of v - t, as a function of v's (row, s, err)."""
+        td, tn, den = t._den, t._nums, self.den
+        ts, terr = self.basis._eval_fixpoint(tn, self.bits)
+        ts, terr = ts * den, terr * den
+        sign = self.basis._sign_of_combo
 
-    def axis_cap(self, i: int, bound: ValueVector) -> int:
-        """Largest e with e * value_i <= bound (0 if even 1 exceeds it)."""
-        guess = max(int(float(bound) / self.floats[i]) , 0)
-        e = guess
-        while self.cmp_threshold(_axis(self.dim, i, e + 1), bound) <= 0:
-            e += 1
-        while e > 0 and self.cmp_threshold(_axis(self.dim, i, e), bound) > 0:
-            e -= 1
-        return e
+        def side(row, s, err) -> int:
+            # a approximates 2^bits * den * td * (v - t) to within e
+            a, e = s * td - ts, err * td + terr
+            if abs(a) > e:
+                return 1 if a > 0 else -1
+            return sign(tuple(r * td - n * den for r, n in zip(row, tn)))
 
+        return side
 
-def _axis(dim: int, i: int, e: int) -> Monomial:
-    return tuple(e if j == i else 0 for j in range(dim))
+    def below(self, t: ValueVector, strict: bool) -> list[tuple]:
+        """Every (m, row, s, err) with v(m) < t (strict) or v(m) <= t.
 
-
-def _box(caps: Sequence[int]) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(c + 1) for c in caps], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-
-
-class _BoxCensus:
-    """Every monomial with value <= reach, with exact value coordinates.
-
-    One integer matrix product turns the whole box into value rows over
-    the frame's common denominator: value equality is row equality, so
-    deduplication and level counting are exact with no per-row Python
-    work.  Minimal generators of the threshold ideals come out of the
-    staircase criterion — m generates {v >= t} iff v(m) >= t and
-    dropping any one variable in its support falls below t — which is a
-    per-coordinate test, never a pairwise divisibility scan.
-    """
-
-    def __init__(self, data: _FrameData, reach: ValueVector):
-        self.data = data
-        caps = [data.axis_cap(i, reach) for i in range(data.dim)]
-        self.exponents = _box(caps)
-        self.combos = self.exponents @ np.array(data.rows, dtype=np.int64)
-        self.approx = self.exponents @ data.floats
-
-    def _cmp_at(self, idx: int, t: ValueVector, shift: int | None = None) -> int:
-        """Exact sign of v(box[idx]) - t, minus value ``shift`` if given."""
-        combo = [int(x) for x in self.combos[idx]]
-        if shift is not None:
-            combo = [a - b for a, b in zip(combo, self.data.rows[shift])]
-        return self.data.basis._sign_of_combo(
-            tuple(a * t._den - b * self.data.den for a, b in zip(combo, t._nums))
-        )
-
-    def distinct_upto(self, bound: ValueVector) -> list[ValueVector]:
-        """All distinct values <= bound in the box, exactly, ascending."""
-        tf = float(bound)
-        inside = np.nonzero(self.approx <= tf + _MARGIN)[0]
-        if len(inside) == 0:
-            return []
-        uniq, first = np.unique(
-            self.combos[inside], axis=0, return_index=True
-        )
-        floats = self.approx[inside][first]
-        order = np.argsort(floats, kind="stable")
-        vals: list[ValueVector] = []
-        approx: list[float] = []
-        for k in order:
-            v = ValueVector._raw(
-                self.data.basis, tuple(int(x) for x in uniq[k]), self.data.den
-            )
-            a = float(floats[k])
-            if a >= tf - _MARGIN and v.cmp(bound) > 0:
-                continue
-            vals.append(v)
-            approx.append(a)
-        # floats sorted us; settle any near-tied run exactly
-        out: list[ValueVector] = []
-        i = 0
-        while i < len(vals):
-            j = i + 1
-            while j < len(vals) and approx[j] - approx[j - 1] <= _MARGIN:
-                j += 1
-            chunk = vals[i:j]
-            if len(chunk) > 1:
-                chunk = sorted(chunk, key=_cmp_key)
-            out.extend(chunk)
-            i = j
+        Breadth first, so each m - x_j comes before m.  A monomial is
+        reached only from m minus its last variable, and a child outside
+        prunes its subtree, since every value is positive.
+        """
+        side = self.side(t)
+        limit = 0 if strict else 1
+        root = ((0,) * self.dim, (0,) * self.basis.size, 0, 0)
+        out, starts = ([root], [0]) if side(*root[1:]) < limit else ([], [])
+        k = 0
+        while k < len(out):
+            m, row, s, err = out[k]
+            for i in range(starts[k], self.dim):
+                child = (_plus(m, i), tuple(map(operator.add, row, self.rows[i])),
+                         s + self.fix[i][0], err + self.fix[i][1])
+                if side(*child[1:]) < limit:
+                    out.append(child)
+                    starts.append(i)
+            k += 1
         return out
 
-    def count_at(self, t: ValueVector) -> int:
-        """Number of box monomials whose value equals t, exactly."""
-        peak = int(np.abs(self.combos).max()) if self.combos.size else 0
-        if peak * t._den >= 2**62 or any(
-            abs(n) * self.data.den >= 2**62 for n in t._nums
-        ):
-            # int64 would wrap; fall back to per-row exact arithmetic
-            return sum(
-                1 for idx in range(len(self.combos)) if self._cmp_at(idx, t) == 0
-            )
-        target = np.array(
-            [n * self.data.den for n in t._nums], dtype=np.int64
-        )
-        hits = np.all(self.combos * int(t._den) == target, axis=1)
-        return int(hits.sum())
+    def levels(self, bound: ValueVector) -> list[list]:
+        """The distinct values <= bound, ascending, as [row, s, err, monomials].
 
-    def generators_at(self, t: ValueVector, strict: bool) -> list[Monomial]:
-        """Minimal generators of {v >= t} (or {v > t} when strict)."""
-        tf = float(t)
-        keep = self.approx >= tf - _MARGIN
-        for i in range(self.data.dim):
-            surely_deep = (self.approx - self.data.floats[i]) > tf + _MARGIN
-            keep &= ~((self.exponents[:, i] > 0) & surely_deep)
-        gens: list[Monomial] = []
-        for idx in np.nonzero(keep)[0]:
-            a = float(self.approx[idx])
-            if a <= tf + _MARGIN:
-                s = self._cmp_at(idx, t)
-                if s < 0 or (strict and s == 0):
-                    continue
-            minimal = True
-            for i in range(self.data.dim):
-                if self.exponents[idx, i] == 0:
-                    continue
-                if a - self.data.floats[i] < tf - _MARGIN:
-                    continue
-                s = self._cmp_at(idx, t, shift=i)
-                if s > 0 or (not strict and s == 0):
-                    minimal = False
-                    break
-            if minimal:
-                gens.append(tuple(int(x) for x in self.exponents[idx]))
-        return sorted(gens)
+        Rows are deduplicated as exact integer tuples and sorted by
+        fixpoint; each run whose adjacent gaps are at most twice the
+        largest error is then sorted exactly.
+        """
+        groups: dict[tuple, list] = {}
+        for m, row, s, err in self.below(bound, strict=False):
+            groups.setdefault(row, [row, s, err, []])[3].append(m)
+        rough = sorted(groups.values(), key=operator.itemgetter(1))
+        slack = 2 * max((g[2] for g in rough), default=0)
+        sign = self.basis._sign_of_combo
+        exact = functools.cmp_to_key(lambda a, b: sign(tuple(map(operator.sub, a[0], b[0]))))
+        runs: list[list] = []
+        for g in rough:
+            if runs and g[1] - runs[-1][-1][1] <= slack:
+                runs[-1].append(g)
+            else:
+                runs.append([g])
+        return [g for run in runs for g in sorted(run, key=exact)]
+
+    def ladder_levels(self, count: int) -> list[list]:
+        """The levels of the first census holding ``count`` distinct values.
+
+        The bound is k * vmin for the least k with (k * vmin)^d >= count *
+        d! * prod(v), read off the fixpoints, and doubles until enough
+        values are in.  k never exceeds count - 1: the multiples 0, v_i,
+        ..., (count - 1) * v_i of any one value are already enough, which
+        keeps the census small on frames whose values differ widely.
+        """
+        d, s = self.dim, [f[0] for f in self.fix]
+        i = s.index(min(s))
+        target = count * math.factorial(d) * math.prod(s)
+        lo, hi = 0, 1
+        while (hi * s[i]) ** d < target:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if (mid * s[i]) ** d >= target else (mid, hi)
+        bound = self.value(self.rows[i]).scale(min(hi, count - 1))
+        while len(levels := self.levels(bound)) < count:
+            bound = bound.scale(2)
+        return levels
+
+
+def _absorb(inside: set, corners: set, m: Monomial) -> None:
+    """Move m from ``corners``, the minimal monomials outside the staircase
+    ``inside``, into it; each m + x_i whose every c - x_j is now inside
+    becomes a corner."""
+    corners.discard(m)
+    inside.add(m)
+    for i in range(len(m)):
+        c = _plus(m, i)
+        if all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside for j, e in enumerate(c)):
+            corners.add(c)
 
 
 def enumerate_values(frame: FrameLike, bound: ValueVector) -> list[ValueVector]:
     """All distinct monomial values <= bound, ascending (0 included)."""
     data = _FrameData(frame)
-    return _BoxCensus(data, bound).distinct_upto(bound)
+    return [data.value(g[0]) for g in data.levels(bound)]
 
 
 def value_ladder(frame: FrameLike, count: int) -> list[ValueVector]:
-    """The first ``count`` distinct monomial values, ascending from 0.
-
-    Starts from a volume estimate of where the count-th value sits and
-    doubles the search bound until enough distinct values are in the
-    box; each attempt is one census, so overshoot is cheap.
-    """
+    """The first ``count`` distinct monomial values, ascending from 0."""
     if count <= 0:
         return []
     data = _FrameData(frame)
-    import math
-
-    vmin = min(data.values, key=_cmp_key)
-    guess = (count * math.factorial(data.dim) * float(np.prod(data.floats))) ** (
-        1 / data.dim
-    )
-    steps = max(1, math.ceil(guess / float(vmin)))
-    bound = vmin.scale(steps)
-    while True:
-        ladder = _BoxCensus(data, bound).distinct_upto(bound)
-        if len(ladder) >= count:
-            return ladder[:count]
-        bound = bound.scale(2)
+    return [data.value(g[0]) for g in data.ladder_levels(count)[:count]]
 
 
 def videal_at(frame: FrameLike, threshold: ValueVector, strict: bool = False) -> MonomialIdeal:
-    """The monomial ideal {m : v(m) >= threshold} (or >, when strict)."""
+    """The monomial ideal {m : v(m) >= threshold} (or >, when strict),
+    generated by the corners of the staircase of monomials outside it."""
     data = _FrameData(frame)
     if threshold.sign() < 0:
         raise ValueError("thresholds are nonnegative")
-    vmax = max(data.values, key=_cmp_key)
-    census = _BoxCensus(data, threshold + vmax)
-    return MonomialIdeal._raw(census.generators_at(threshold, strict), data.dim)
+    inside: set = set()
+    corners = {(0,) * data.dim}  # the unit ideal while nothing is inside
+    for node in data.below(threshold, not strict):
+        _absorb(inside, corners, node[0])
+    return MonomialIdeal._raw(corners, data.dim)
 
 
 def ideal_value(frame: FrameLike, ideal: MonomialIdeal) -> ValueVector:
@@ -250,7 +204,9 @@ def ideal_value(frame: FrameLike, ideal: MonomialIdeal) -> ValueVector:
 def colength_step(frame: FrameLike, threshold: ValueVector) -> int:
     """Number of monomials whose value equals the threshold exactly."""
     data = _FrameData(frame)
-    return _BoxCensus(data, threshold).count_at(threshold)
+    row = tuple(n * data.den for n in threshold._nums)
+    return sum(tuple(r * threshold._den for r in node[1]) == row
+               for node in data.below(threshold, strict=False))
 
 
 def videal_chain(frame: FrameLike, count: int) -> list[dict]:
@@ -258,31 +214,28 @@ def videal_chain(frame: FrameLike, count: int) -> list[dict]:
 
     Entry n carries the ideal, its threshold t_n (the value of the
     ideal), and the number of monomials sitting exactly at t_n — the
-    colength of the step down to the next ideal.  One census spanning
-    the whole ladder serves every rung.
+    colength of the step down to the next ideal.  One census serves
+    every rung: the staircase {v <= t_n} grows level by level, and its
+    corners generate the next ideal, whose value is t_{n+1}.
     """
     if count <= 0:
         return []
     data = _FrameData(frame)
-    zero = data.basis.zero()
-    unit = MonomialIdeal([(0,) * data.dim])
-    ladder = value_ladder(frame, count)
-    vmax = max(data.values, key=_cmp_key)
-    census = _BoxCensus(data, ladder[-1] + vmax)
-    out = []
-    ideal, t = unit, zero
+    levels = data.ladder_levels(count)
+    inside: set = set()
+    corners = {(0,) * data.dim}
+    ideal, t = MonomialIdeal._raw(corners, data.dim), data.basis.zero()
+    out, k = [], 0
     for n in range(count):
-        out.append(
-            {
-                "n": n,
-                "ideal": ideal,
-                "threshold": t,
-                "colength": census.count_at(t),
-            }
-        )
+        side, colength = data.side(t), 0
+        while k < len(levels) and (at := side(*levels[k][:3])) <= 0:
+            for m in levels[k][3]:
+                _absorb(inside, corners, m)
+            colength = len(levels[k][3]) if at == 0 else 0
+            k += 1
+        out.append({"n": n, "ideal": ideal, "threshold": t, "colength": colength})
         if n + 1 < count:
-            gens = census.generators_at(t, strict=True)
-            ideal = MonomialIdeal._raw(gens, data.dim)
+            ideal = MonomialIdeal._raw(corners, data.dim)
             t = ideal_value(frame, ideal)
     return out
 
@@ -294,16 +247,16 @@ def membership_index(frame: FrameLike, chain: list[dict], m: Monomial) -> tuple[
     divisibility down the chain, the second compares v(m) against the
     thresholds.  They must agree for honest valuation ideals.
     """
-    data = _FrameData(frame)
     by_ideal = -1
     for entry in chain:
         if entry["ideal"].contains(m):
             by_ideal = entry["n"]
         else:
             break
+    vm = monomial_value(_values_of(frame), m)
     by_threshold = -1
     for entry in chain:
-        if data.cmp_threshold(m, entry["threshold"]) >= 0:
+        if vm.cmp(entry["threshold"]) >= 0:
             by_threshold = entry["n"]
         else:
             break
@@ -318,9 +271,7 @@ def tau_bound(frame: FrameLike, n_ideals: int, max_steps: int = 10_000) -> int:
     """
     chain = videal_chain(frame, n_ideals)
     ideals = [entry["ideal"] for entry in chain]
-    state = SequenceState.from_frame(
-        frame if isinstance(frame, ParameterFrame) else ParameterFrame(tuple(frame))
-    )
+    state = SequenceState.from_frame(frame)
     extensions = list(ideals)
     if all(e.is_principal for e in extensions):
         return 0

@@ -173,13 +173,40 @@ _SCRIPTED = {"dimension": 2, "frame": ["1", "3"], "mode": "scripted"}
       "checks": ["videal-chain"]}, "options.chain_length"),
     ({"preset": "random", "options": {"windows": [1, "two"]},
       "checks": ["switching-witness"]}, "options.windows[1]"),
+    # a bare integer used to escape as a raw TypeError
+    ({"preset": "random", "steps": 40, "options": {"ratio_f": 5}},
+     "options.ratio_f"),
+    ({"preset": "random", "options": {"ratio_g": [[1, 0]]}}, "options.ratio_g"),
+    ({"preset": "random", "options": {"ratio_g": [[1, -1, 0]]}}, "options.ratio_g"),
 ], ids=["count", "direction", "boundary", "preset-d", "exponent",
-        "chain-length", "window"])
+        "chain-length", "window", "ratio-not-lists", "ratio-short", "ratio-negative"])
 def test_non_integer_config_values_exit_two(tmp_path, capsys, cfg, where):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path)]) == 2
     assert f"config error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, least", [
+    ("chain_length", 1), ("n_ideals", 1), ("word_cap", 1), ("max_degree", 1),
+    ("ratio_steps", 1), ("prefix_cap", 1), ("tau_max_steps", 0)])
+def test_integer_options_below_their_least_exit_two(tmp_path, capsys, key, least):
+    # "chain_length": -2 used to give an empty chain and a vacuous pass
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "random", "steps": 40,
+                                "options": {key: least - 1}}))
+    assert cli.main(["run", "--config", str(path), "--checks", "all"]) == 2
+    assert (f"config error: options.{key}: must be >= {least}, got {least - 1}"
+            in capsys.readouterr().err)
+
+
+def test_unknown_option_keys_exit_two(tmp_path, capsys):
+    # a misspelt key used to run silently with the default
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "random", "options": {"chain_lenght": 3},
+                                "checks": ["videal-chain"]}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "config error: options: unknown keys ['chain_lenght']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("windows", [[-1], 5])

@@ -1,6 +1,8 @@
 """Valuation-ideal chains, ladders, colengths, and the principality bound."""
 
+import functools
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadseq.errors import NotTerminated
-from quadseq.monomials import MonomialIdeal, extend_ideal, total_degree
+from quadseq.monomials import MonomialIdeal, extend_ideal, monomial_value, total_degree
 from quadseq.sequence import ParameterFrame, SequenceState
 from quadseq.values import RealBasis
+from quadseq import videals
 from quadseq.videals import (
     colength_step,
     enumerate_values,
@@ -242,3 +245,168 @@ def test_enumerate_values_matches_brute_force(vals):
         }
     )
     assert got == [v for v in brute if v <= bound]
+
+
+# -- exact census against brute force ------------------------------------------
+
+
+def _least_multiple(vals, i, t, strict):
+    """Least e with e * v_i >= t (> t when strict), found by exact comparison."""
+    e = 0
+    while not _meets(vals[i].scale(e).cmp(t), strict):
+        e += 1
+    return e
+
+
+def _meets(sign, strict):
+    return sign > 0 or (sign == 0 and not strict)
+
+
+def _box(vals, t, strict):
+    # a minimal generator g of {v >= t} has (g_i - 1) * v_i < t (<= t for
+    # {v > t}), and a monomial with v(m) <= t has m_i * v_i <= t
+    caps = [_least_multiple(vals, i, t, strict) for i in range(len(vals))]
+    return list(itertools.product(*(range(c + 1) for c in caps)))
+
+
+def brute_ideal(vals, t, strict=False):
+    """{v >= t} (or > t) from every monomial of a covering box, minimalized."""
+    box = _box(vals, t, strict)
+    return MonomialIdeal(
+        [m for m in box if _meets(monomial_value(vals, m).cmp(t), strict)]
+    )
+
+
+def brute_colength(vals, t):
+    return sum(1 for m in _box(vals, t, True) if monomial_value(vals, m) == t)
+
+
+def brute_values(vals, bound):
+    box = _box(vals, bound, True)
+    found = {monomial_value(vals, m) for m in box}
+    return sorted((v for v in found if v.cmp(bound) <= 0),
+                  key=functools.cmp_to_key(lambda a, b: a.cmp(b)))
+
+
+def test_enumerate_values_beyond_int64():
+    # rows of 10^17 times exponents up to 100 used to wrap in int64
+    basis = RealBasis.default(1)
+    frame = ParameterFrame([basis.rational(10**17), basis.rational(10**17 + 1)])
+    vals = enumerate_values(frame, basis.rational(100 * 10**17))
+    assert len(vals) == 5051
+    assert all(v.sign() >= 0 for v in vals)
+    assert all(a.cmp(b) < 0 for a, b in zip(vals, vals[1:]))
+
+
+# (1, sqrt2) frames at magnitude 10^13, where a float preview with an
+# absolute margin misrouted monomials near the threshold
+_MAGNITUDE_CASES = [
+    ((24035266320337, 1), (27367180855709, 6), (1, 2)),
+    ((12825411852584, 9), (23768305786891, 9), (2, 4)),
+    ((16846270797943, 3), (14358181111419, 8), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("a, b, m", _MAGNITUDE_CASES)
+def test_videal_at_magnitude_1e13(a, b, m):
+    vals = [B2.value(list(a)), B2.value(list(b))]
+    t = monomial_value(vals, m)
+    got = videal_at(ParameterFrame(vals), t)
+    assert got == brute_ideal(vals, t)
+    assert got.contains(m)
+
+
+def test_videal_at_magnitude_1e13_random():
+    rng = random.Random(0)
+    for _ in range(200):
+        vals = [B2.value([rng.randint(10**13, 3 * 10**13), rng.randint(1, 9)])
+                for _ in range(2)]
+        t = monomial_value(vals, (rng.randint(0, 4), rng.randint(0, 4)))
+        assert videal_at(ParameterFrame(vals), t) == brute_ideal(vals, t)
+
+
+@pytest.mark.parametrize("small", [
+    B2.rational(F(1, 10**6)),
+    # (p - q*sqrt2) * 10^11 with p^2 - 2q^2 = 1: about 1.4e-6 from 28-digit
+    # terms, which 64-bit fixpoints cannot even sign
+    B2.value([34761632124320657, -24580185800219268]).scale(10**11),
+])
+def test_ladder_census_stays_small_on_spread_frames(small, monkeypatch):
+    # the first values are multiples of the small one, so a census of about
+    # 50 monomials suffices; a volume estimate alone would walk about 10^4
+    sizes = []
+    below = videals._FrameData.below
+
+    def counted(self, t, strict):
+        out = below(self, t, strict)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(videals._FrameData, "below", counted)
+    frame = ParameterFrame([small, B2.rational(1)])
+    assert value_ladder(frame, 50) == [small.scale(k) for k in range(50)]
+    chain = videal_chain(frame, 4)
+    assert [e["ideal"].generators for e in chain] == [
+        ((0, 0),), ((0, 1), (1, 0)), ((0, 1), (2, 0)), ((0, 1), (3, 0))]
+    assert max(sizes) <= 100
+
+
+B3 = RealBasis.default(3)
+_coeff = st.fractions(min_value=0, max_value=10**18, max_denominator=10**12)
+# (p, q) with p^2 - 2q^2 = +-1, so that 0 < |p - q sqrt2| < 1/(2q): huge
+# coefficients that cancel to a value far below their rounding error
+_PELL = [(1, 1)]
+while _PELL[-1][1] <= 10**18:
+    p, q = _PELL[-1]
+    _PELL.append((p + 2 * q, p + q))
+
+
+@st.composite
+def clustered_frames(draw):
+    """Frames over (1, sqrt2, sqrt3): a shared base times ratios in [1, 3],
+    each plus an optional offset of at most 2^-4 of the base.  Offsets are
+    either nonnegative vectors or Pell combinations p - q sqrt2, so exact
+    ties, near ties far below 2^-64 of the values, and clear gaps all
+    occur, while every value stays within 4x of every other."""
+    def vector():
+        coeffs = [draw(_coeff) for _ in range(3)]
+        if not any(coeffs):
+            coeffs[0] = F(1)
+        return B3.value(coeffs)
+
+    base = vector()
+    bmin = min(c for c in base.coeffs if c)
+    d = draw(st.integers(min_value=2, max_value=3))
+    vals = []
+    for _ in range(d):
+        ratio = F(draw(st.integers(4, 12)), 4)
+        kind = draw(st.sampled_from(["none", "vector", "pell"]))
+        if kind == "vector":
+            offset = vector()
+        else:
+            p, q = draw(st.sampled_from(_PELL))
+            offset = B3.value([p, -q, 0]).scale(draw(st.sampled_from([1, -1])))
+        # 5 * 10^18 bounds either offset; scale it below bmin / 16
+        shrink = bmin / (16 * 5 * 10**18) / 10 ** draw(st.integers(0, 30))
+        vals.append(base.scale(ratio) + offset.scale(0 if kind == "none" else shrink))
+    return vals
+
+
+@given(clustered_frames(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_census_matches_brute_force(vals, data):
+    frame = ParameterFrame(vals)
+    vmin = min(vals, key=functools.cmp_to_key(lambda a, b: a.cmp(b)))
+    bound = vmin.scale(data.draw(st.integers(0, 4)))
+    assert enumerate_values(frame, bound) == brute_values(vals, bound)
+    m = tuple(data.draw(st.integers(0, 1)) for _ in vals)
+    t = monomial_value(vals, m)
+    assert videal_at(frame, t) == brute_ideal(vals, t)
+    assert videal_at(frame, t, strict=True) == brute_ideal(vals, t, strict=True)
+    assert colength_step(frame, t) == brute_colength(vals, t)
+    count = data.draw(st.integers(1, 6))
+    ladder = brute_values(vals, vmin.scale(count))[:count]
+    chain = videal_chain(frame, count)
+    assert [e["threshold"] for e in chain] == ladder
+    assert [e["ideal"] for e in chain] == [brute_ideal(vals, t) for t in ladder]
+    assert [e["colength"] for e in chain] == [brute_colength(vals, t) for t in ladder]
