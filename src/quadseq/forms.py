@@ -9,6 +9,14 @@ every nonunit form drops strictly, while a word that misses some
 direction leaves the corresponding variable's order pinned at 1 forever;
 and for two fixed monomials the ratio of their orders along an argmin
 word converges to the ratio of their frame values.
+
+The order-drop sweep steps every antichain of bounded degree at once.
+Each antichain is padded to a common width with copies of its first
+member, which change no minimum and transform like the original, and
+only the degree sums and the stepped exponent column are updated per
+letter.  A degree at most doubles per letter, so the sweep uses int64
+while the word is short enough for that bound and Python integers
+beyond it: it is exact for every word length.
 """
 
 from __future__ import annotations
@@ -27,10 +35,9 @@ from .errors import (
 )
 from .monomials import (
     Monomial,
-    MonomialIdeal,
     divides,
     least_value,
-    rewrite_monomial,
+    strip_rewrite,
     total_degree,
     _validate_monomial,
 )
@@ -74,15 +81,7 @@ class MonomialForm:
 
 def transform_form(form: MonomialForm, direction: int) -> MonomialForm:
     """One step in ``direction``: rewrite the support and strip ord(form)."""
-    r = form.order()
-    moved = [
-        tuple(
-            total_degree(m) - r if i == direction else e
-            for i, e in enumerate(m)
-        )
-        for m in form.support
-    ]
-    out = MonomialForm(moved, dim=form.dim)
+    out = MonomialForm(strip_rewrite(form.support, direction), dim=form.dim)
     if len(out.support) != len(form.support):
         raise AssertionError("transform collapsed distinct support monomials")
     return out
@@ -147,19 +146,17 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
 
 
 @lru_cache(maxsize=None)
-def _antichain_arrays(dim: int, max_degree: int):
+def _antichain_columns(dim: int, max_degree: int) -> np.ndarray:
+    """Every antichain, padded to the full width with copies of its first
+    member, as read-only exponent columns: shape ``(dim, N, width)``."""
     chains = enumerate_antichains(dim, max_degree)
-    width = max(len(c) for c in chains)
-    gens = np.zeros((len(chains), width, dim), dtype=np.int64)
-    mask = np.zeros((len(chains), width), dtype=bool)
-    for i, chain in enumerate(chains):
-        for j, m in enumerate(chain):
-            gens[i, j] = m
-            mask[i, j] = True
-    return gens, mask
-
-
-_BIG = np.int64(1) << 40
+    width = max(map(len, chains))
+    exponents = (m[i] for i in range(dim) for c in chains
+                 for m in c + (c[0],) * (width - len(c)))
+    columns = np.fromiter(exponents, dtype=np.int64, count=dim * len(chains) * width)
+    columns = columns.reshape(dim, len(chains), width)
+    columns.setflags(write=False)
+    return columns
 
 
 def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dict:
@@ -169,6 +166,14 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
     nonunit form (the report carries the worst final order and verifies
     that per-step orders never increase).  A word missing some direction
     admits a witness whose order never moves: that variable itself.
+
+    On a covering word every antichain of degree at most ``max_degree``
+    steps at once, padded with copies of its first member.  A letter ``w``
+    sets each exponent m_w to |m| - r, r the order, so the new degree is
+    2|m| - m_w - r: only the degrees and column ``w`` change, and a
+    degree at most doubles.  The sweep runs in int64 while
+    ``max_degree.bit_length() + len(word) <= 62`` and in Python integers
+    otherwise, with the same statements, so it is exact for every word.
     """
     word = [int(w) for w in word]
     for w in word:
@@ -187,28 +192,26 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
             "witness_trace": trace,
             "witness_constant": len(set(trace)) == 1,
         }
-    gens, mask = _antichain_arrays(dim, max_degree)
-    cur = gens.copy()
-    deg = cur.sum(axis=2)
-    initial = np.where(mask, deg, _BIG).min(axis=1)
-    prev = initial
+    columns = _antichain_columns(dim, max_degree)
+    if int(max_degree).bit_length() + len(word) > 62:
+        columns = columns.astype(object)
+    deg = columns.sum(axis=0)
+    columns = list(columns)
+    initial = order = deg.min(axis=1)
     monotone = True
     for w in word:
-        deg = cur.sum(axis=2)
-        order = np.where(mask, deg, _BIG).min(axis=1)
-        cur[:, :, w] = np.where(mask, deg - order[:, None], 0)
-        deg = cur.sum(axis=2)
-        order = np.where(mask, deg, _BIG).min(axis=1)
-        if not (order <= prev).all():
-            monotone = False
-        prev = order
-    final = prev
+        new = deg - order[:, None]
+        deg = deg - columns[w]
+        deg += new
+        columns[w] = new
+        prev, order = order, deg.min(axis=1)
+        monotone = monotone and bool((order <= prev).all())
     return {
         "full_coverage": True,
-        "forms_checked": int(gens.shape[0]),
-        "all_drop": bool((final < initial).all()),
+        "forms_checked": len(deg),
+        "all_drop": bool((order < initial).all()),
         "orders_monotone": monotone,
-        "max_final_order": int(final.max()),
+        "max_final_order": int(order.max()),
     }
 
 
@@ -347,15 +350,8 @@ def comparability_index(
             return t, "q/p"
         if divides(q_img, p_img):
             return t, "p/q"
-        ideal = MonomialIdeal([p_img, q_img], dim=frame.dim)
-        r = ideal.order()
         state, w = state.step_argmin()
-        p_img = tuple(
-            total_degree(p_img) - r if i == w else e for i, e in enumerate(p_img)
-        )
-        q_img = tuple(
-            total_degree(q_img) - r if i == w else e for i, e in enumerate(q_img)
-        )
+        p_img, q_img = strip_rewrite((p_img, q_img), w)
         t += 1
     raise NotTerminated(
         f"pair ideal still not principal after {max_steps} steps", steps=max_steps

@@ -9,10 +9,11 @@ induced map on a monomial ideal additionally strips ``ord(I)`` powers of
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .errors import EmptyGeneratorSet, IndexOutOfRange
-from .values import ValueVector
+from .values import ValueVector, _common_den
 
 Monomial = tuple[int, ...]
 
@@ -134,18 +135,18 @@ def rewrite_word(m: Monomial, word: Sequence[int]) -> Monomial:
     return m
 
 
+def strip_rewrite(monos: Sequence[Monomial], direction: int) -> list[Monomial]:
+    """One transform step of a generator set or a form's support: rewrite
+    each monomial in ``direction`` and strip r powers of it, r the least
+    total degree, so the ``direction`` exponent of m becomes |m| - r."""
+    _check_direction(direction, len(monos[0]))
+    r = min(map(total_degree, monos))
+    return [m[:direction] + (total_degree(m) - r,) + m[direction + 1:] for m in monos]
+
+
 def transform_ideal(ideal: MonomialIdeal, direction: int) -> MonomialIdeal:
     """One transform step of the ideal: rewrite and strip ord(I) powers."""
-    _check_direction(direction, ideal.dim)
-    r = ideal.order()
-    gens = [
-        tuple(
-            total_degree(g) - r if i == direction else e
-            for i, e in enumerate(g)
-        )
-        for g in ideal.generators
-    ]
-    return MonomialIdeal(gens, dim=ideal.dim)
+    return MonomialIdeal(strip_rewrite(ideal.generators, direction), dim=ideal.dim)
 
 
 def transform_word(ideal: MonomialIdeal, word: Sequence[int]) -> MonomialIdeal:
@@ -174,21 +175,40 @@ def apply_matrix(matrix: Sequence[Sequence[int]], m: Monomial) -> Monomial:
     return tuple(sum(row[j] * m[j] for j in range(len(m))) for row in matrix)
 
 
+def _value_columns(frame_values: Sequence[ValueVector]):
+    """The frame over one common denominator: per basis generator, the
+    integer coefficients of the frame values, and the denominator."""
+    for v in frame_values[1:]:
+        frame_values[0]._check_basis(v)
+    rows, den = _common_den(frame_values)
+    return tuple(zip(*rows)), den
+
+
+def _numerators(columns, m: Monomial) -> tuple[int, ...]:
+    """The integer numerators of v(m): one dot product per generator."""
+    return tuple(sum(map(operator.mul, m, c)) for c in columns)
+
+
 def monomial_value(frame_values: Sequence[ValueVector], m: Monomial) -> ValueVector:
     """Value of a monomial: the exponent-weighted sum of the frame values."""
     m = _validate_monomial(m, len(frame_values))
-    total = frame_values[0].basis.zero()
-    for e, v in zip(m, frame_values):
-        if e:
-            total = total + v.scale(e)
-    return total
+    columns, den = _value_columns(frame_values)
+    return ValueVector._raw(frame_values[0].basis, _numerators(columns, m), den)
 
 
 def least_value(frame_values: Sequence[ValueVector], monos: Sequence[Monomial]) -> ValueVector:
-    """The smallest value among ``monos``: a form's support, an ideal's generators."""
-    best = monomial_value(frame_values, monos[0])
+    """The smallest value among ``monos``: a form's support, an ideal's generators.
+
+    Every v(m) is written over the frame's common denominator, so two
+    values compare by the exact sign of their numerators' difference.
+    The first of several equal values wins.
+    """
+    d = len(frame_values)
+    columns, den = _value_columns(frame_values)
+    sign = frame_values[0].basis._sign_of_combo
+    best = _numerators(columns, _validate_monomial(monos[0], d))
     for m in monos[1:]:
-        v = monomial_value(frame_values, m)
-        if v.cmp(best) < 0:
-            best = v
-    return best
+        nums = _numerators(columns, _validate_monomial(m, d))
+        if sign(tuple(map(operator.sub, nums, best))) < 0:
+            best = nums
+    return ValueVector._raw(frame_values[0].basis, best, den)

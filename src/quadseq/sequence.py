@@ -37,7 +37,7 @@ from .errors import (
     NonPositiveValue,
 )
 from .monomials import MonomialIdeal, extend_ideal
-from .values import RealBasis, ValueVector
+from .values import RealBasis, ValueVector, _common_den
 
 DEFAULT_NAMES = ("x", "y", "z", "w", "v", "u")
 
@@ -101,16 +101,6 @@ class StepRecord:
     @property
     def carries_direction(self) -> bool:
         return self.direction is not None
-
-
-def _common_den(vectors: Sequence[ValueVector]):
-    den = 1
-    for v in vectors:
-        den = math.lcm(den, v._den)
-    nums = tuple(
-        tuple(n * (den // v._den) for n in v._nums) for v in vectors
-    )
-    return nums, den
 
 
 class SequenceState:

@@ -426,6 +426,17 @@ class ValueVector:
             bits <<= 1
 
 
+def _common_den(vectors: Sequence[ValueVector]):
+    """Integer numerator rows of the vectors over their least common denominator."""
+    den = 1
+    for v in vectors:
+        den = math.lcm(den, v._den)
+    nums = tuple(
+        tuple(n * (den // v._den) for n in v._nums) for v in vectors
+    )
+    return nums, den
+
+
 def _format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 

@@ -30,8 +30,8 @@ from .monomials import (
     least_value,
     monomial_value,
 )
-from .sequence import ParameterFrame, SequenceState, _common_den
-from .values import ValueVector
+from .sequence import ParameterFrame, SequenceState
+from .values import ValueVector, _common_den
 
 FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
 

@@ -312,6 +312,28 @@ def test_inline_argmin_config(tmp_path):
     assert len(rep["trace"]) == 12
 
 
+def test_thm33a_passes_on_a_long_scripted_word(tmp_path, capsys):
+    # frame (1, phi, just below phi^2): x and y alternate as the least
+    # values for 100 steps, then z is least; orders on this word pass 2^40
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({
+        "dimension": 3,
+        "basis": ["one", {"sqrt": 5}],
+        "frame": [["1", "0"], ["1/2", "1/2"],
+                  ["186982561199565069127/4", "-83621143489848422975/4"]],
+        "mode": "scripted",
+        "plan": [{"kind": "monomial", "direction": i % 2} for i in range(100)]
+                + [{"kind": "monomial", "direction": 2}],
+    }))
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg), "--checks", "thm33a",
+                     "--out", str(out)]) == 0
+    assert "thm33a: pass" in capsys.readouterr().err
+    check = json.loads((out / "report.json").read_text())["checks"][0]
+    assert check["verdict"] == "pass"
+    assert check["detail"]["word_length"] == 101
+
+
 def test_rationals_serialized_as_strings(tmp_path):
     out = tmp_path / "r"
     assert cli.main(["run", "--preset", "shannon-4.18", "--steps", "5",

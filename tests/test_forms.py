@@ -74,6 +74,58 @@ def test_order_drop_missing_direction_witness():
     assert report["witness_constant"]
 
 
+def _oracle_report(dim, word, max_degree):
+    """order_drop_report of a covering word, from ord_trace on every antichain."""
+    traces = [ord_trace(MonomialForm(c, dim=dim), word)
+              for c in enumerate_antichains(dim, max_degree)]
+    return {
+        "full_coverage": True,
+        "forms_checked": len(traces),
+        "all_drop": all(t[-1] < t[0] for t in traces),
+        "orders_monotone": all(a >= b for t in traces for a, b in zip(t, t[1:])),
+        "max_final_order": max(t[-1] for t in traces),
+    }
+
+
+@st.composite
+def covering_words(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    # the d = 3, degree-3 oracle walks 2,496 antichains, seconds per word:
+    # criterion 6 and the long-word cases below cover that sweep
+    max_degree = draw(st.integers(1, 3 if dim == 2 else 2))
+    length = draw(st.integers(dim, 140))
+    word = draw(st.lists(st.integers(0, dim - 1), min_size=length, max_size=length))
+    spots = draw(st.lists(st.integers(0, length - 1), min_size=dim, max_size=dim,
+                          unique=True))
+    for w, i in enumerate(spots):
+        word[i] = w
+    return dim, word, max_degree
+
+
+@given(covering_words())
+@settings(max_examples=40, deadline=None)
+def test_order_drop_matches_the_trace_oracle(case):
+    # from 61 letters on (62 at max_degree 1) the sweep leaves int64 for Python ints
+    dim, word, max_degree = case
+    assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
+
+
+# degrees pass 2^40 on these words; ord_trace on every antichain gives
+# the same reports (the d = 3 oracle takes seconds, so the result is pinned)
+@pytest.mark.parametrize("dim, word, forms", [
+    (3, [0, 1] * 50 + [2], 2496),
+    (2, [0, 1] * 50, 40),
+], ids=["d3-101-letters", "d2-100-letters"])
+def test_order_drop_is_exact_on_long_words(dim, word, forms):
+    assert order_drop_report(dim, word) == {
+        "full_coverage": True,
+        "forms_checked": forms,
+        "all_drop": True,
+        "orders_monotone": True,
+        "max_final_order": 0,
+    }
+
+
 def test_value_of_form():
     f = MonomialForm([(2, 0), (0, 1)])
     v = value_of_form(frame_1_sqrt2().values, f)

@@ -12,6 +12,7 @@ from quadseq.monomials import (
     apply_matrix,
     divides,
     extend_ideal,
+    least_value,
     minimalize,
     monomial_value,
     rewrite_matrix,
@@ -107,6 +108,28 @@ def test_monomial_value():
 
 monomials2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 monomials3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+coefficients = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+
+
+@given(st.lists(st.tuples(coefficients, coefficients), min_size=3, max_size=3),
+       st.lists(monomials3, min_size=1, max_size=6))
+@settings(max_examples=60)
+def test_values_match_the_scaled_sum(coeffs, monos):
+    # the reference adds v.scale(e) term by term and takes the minimum by cmp
+    basis = RealBasis.default(2)
+    frame = [basis.value(c) for c in coeffs]
+    refs = []
+    for m in monos:
+        total = basis.zero()
+        for e, v in zip(m, frame):
+            total = total + v.scale(e)
+        refs.append(total)
+    assert [monomial_value(frame, m).coeffs for m in monos] == [r.coeffs for r in refs]
+    best = refs[0]
+    for v in refs[1:]:
+        if v.cmp(best) < 0:
+            best = v
+    assert least_value(frame, monos).coeffs == best.coeffs
 
 
 @given(st.lists(monomials2, min_size=1, max_size=6), st.permutations(range(6)))
