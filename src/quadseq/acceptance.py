@@ -35,8 +35,8 @@ from .gallery import (
     gen_shannon_418,
     replay_states,
 )
-from .monomials import extend_ideal, monomial_value
-from .sequence import ParameterFrame, SequenceState
+from .monomials import extend_ideal, monomial_value, rewrite_monomial
+from .sequence import ParameterFrame, SequenceState, argmin_word
 from .values import RealBasis
 from .videals import enumerate_values, tau_bound, videal_at, videal_chain
 
@@ -78,22 +78,6 @@ _runs_cache: list[_RunOutcome] | None = None
 _runs_seconds: float = 0.0
 
 
-def _frame_collapsed(state: SequenceState, eps: Fraction) -> bool:
-    """Interval-certified: every current frame value is below eps.
-
-    The maintained integer shadows give a sufficient quick test; the
-    certificate itself is an exact rational enclosure per value.
-    """
-    sh, errs, t = state._ensure_shadows()
-    if any(
-        (s + e) * eps.denominator >= (1 << t) * eps.numerator
-        for s, e in zip(sh, errs)
-    ):
-        return False
-    quarter = eps / 4
-    return all(v.evaluate_interval(quarter)[1] < eps for v in state.frame_values)
-
-
 def shared_runs() -> list[_RunOutcome]:
     global _runs_cache, _runs_seconds
     if _runs_cache is not None:
@@ -117,7 +101,7 @@ def shared_runs() -> list[_RunOutcome]:
                 if (
                     collapse_at is None
                     and n % _CHECK_EVERY == 0
-                    and _frame_collapsed(st, TINY)
+                    and st.frame_below(TINY)
                 ):
                     collapse_at = n
                     gap = st.series_bound() - st.partial_sum
@@ -344,15 +328,12 @@ def criterion_7() -> CriterionResult:
     # both power quotients f^q/g^p and g^(p+1)/f^q lie in the current ring
     # (monomial divisibility both ways), the order ratio must land in
     # [p/q, (p+1)/q) -- checked in integers at every reported step
-    st = SequenceState.from_frame(frame)
-    mf, mg = [0, 1], [1, 0]
+    mf, mg = (0, 1), (1, 0)
     fired = {q: 0 for q in range(1, 13)}
     bracket_ok = True
     orders_match = True
-    for entry in rep["trace"]:
-        st, w = st.step_argmin()
-        for m in (mf, mg):
-            m[w] = sum(m)
+    for entry, w in zip(rep["trace"], argmin_word(frame)):
+        mf, mg = rewrite_monomial(mf, w), rewrite_monomial(mg, w)
         pf, qg = entry["ordF"], entry["ordG"]
         if pf != sum(mf) or qg != sum(mg):
             orders_match = False
@@ -472,11 +453,7 @@ def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
     basis = RealBasis.default(2)
     frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
-    st = SequenceState.from_frame(frame)
-    word = []
-    for _ in range(40):
-        st, w = st.step_argmin()
-        word.append(w)
+    word = list(itertools.islice(argmin_word(frame), 40))
     bad = []
     prefixes = []
     for n in range(1, 21):

@@ -16,6 +16,7 @@ than a vacuous pass.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,7 +33,7 @@ from .errors import (
 from .forms import MonomialForm, order_drop_report, ratio_limit_report
 from .gallery import Scenario, replay_states
 from .monomials import extend_ideal
-from .sequence import SequenceState
+from .sequence import SequenceState, argmin_word
 from .values import ValueVector
 from .videals import short_chain_report, tau_bound, videal_chain
 
@@ -166,12 +167,11 @@ def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
         "independent_values": independent,
     }
     threshold = options.get("small_threshold", SMALL_FRAME_THRESHOLD)
-    intervals = [v.evaluate_interval(threshold / 4) for v in final.frame_values]
-    tail_small = all(hi < threshold for _, hi in intervals)
+    tail_small = final.frame_below(threshold)
     detail["frame_below_threshold"] = tail_small
     detail["threshold"] = threshold
     if tail_small:
-        d = final.frame.dim
+        d = final.dim
         detail["sum_within_of_bound"] = threshold * d / (d - 1)
     if art.bound_all:
         return CheckResult("bound63", "pass", detail)
@@ -199,7 +199,7 @@ def _check_switching_witness(art: RunArtifacts, options: dict) -> CheckResult:
 
 def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
     final = art.final
-    dim = final.frame.dim
+    dim = final.dim
     cap = options.get("word_cap", 128)
     max_degree = options.get("max_degree", 3)
     # the word consists of the monomial steps only: a rescale may carry a
@@ -314,11 +314,7 @@ def _check_tau_bound(art: RunArtifacts, options: dict) -> CheckResult:
         })
     # re-verify minimality independently of the search loop
     chain = [e["ideal"] for e in videal_chain(frame, n_ideals)]
-    state = SequenceState.from_frame(frame)
-    word = []
-    for _ in range(j):
-        state, w = state.step_argmin()
-        word.append(w)
+    word = list(itertools.islice(argmin_word(frame), j))
     at_j = all(extend_ideal(i, word).is_principal for i in chain)
     before = (
         j == 0

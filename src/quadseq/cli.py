@@ -160,8 +160,10 @@ def _parse_options(obj, dim: int) -> dict:
         raise ConfigError(f"options: unknown keys {unknown}")
     options = dict(obj)
     if "small_threshold" in options:
-        options["small_threshold"] = _to_rational(
+        options["small_threshold"] = t = _to_rational(
             options["small_threshold"], "options.small_threshold")
+        if t <= 0:
+            raise ConfigError(f"options.small_threshold: must be > 0, got {t}")
     for key, least in _INT_OPTIONS.items():
         if key in options:
             options[key] = n = _to_int(options[key], f"options.{key}")

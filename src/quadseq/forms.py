@@ -37,12 +37,13 @@ from .monomials import (
     Monomial,
     divides,
     least_value,
+    rewrite_along,
     strip_rewrite,
     total_degree,
     _validate_monomial,
 )
-from .sequence import ParameterFrame, SequenceState
-from .values import ValueVector, _format_fraction
+from .sequence import ParameterFrame, argmin_word
+from .values import ValueVector
 
 
 class MonomialForm:
@@ -175,6 +176,8 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
     ``max_degree.bit_length() + len(word) <= 62`` and in Python integers
     otherwise, with the same statements, so it is exact for every word.
     """
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     word = [int(w) for w in word]
     for w in word:
         if not 0 <= w < dim:
@@ -252,17 +255,12 @@ def ratio_limit_report(
         raise ValueError("form dimension does not match the frame")
     if g.is_unit:
         raise RatioUndefined("denominator form is a unit: its order is 0")
-    state = SequenceState.from_frame(frame)
-    f_sup = [list(m) for m in f.support]
-    g_sup = [list(m) for m in g.support]
+    nf = len(f.support)
+    supports = rewrite_along(f.support + g.support, argmin_word(frame))
     trace = []
-    for n in range(1, steps + 1):
-        state, w = state.step_argmin()
-        for sup in (f_sup, g_sup):
-            for m in sup:
-                m[w] = sum(m)
-        ord_f = min(sum(m) for m in f_sup)
-        ord_g = min(sum(m) for m in g_sup)
+    for n, images in enumerate(itertools.islice(supports, steps), 1):
+        ord_f = min(map(sum, images[:nf]))
+        ord_g = min(map(sum, images[nf:]))
         if ord_g == 0:
             raise RatioUndefined(f"order of denominator form hit 0 at step {n}")
         trace.append({"n": n, "ordF": ord_f, "ordG": ord_g})
@@ -283,8 +281,7 @@ def ratio_limit_report(
             "kind": "irrational",
             "value_f": f_val.serialize(),
             "value_g": g_val.serialize(),
-            "interval": {"lo": _format_fraction(flo / ghi),
-                         "hi": _format_fraction(fhi / glo)},
+            "interval": {"lo": str(flo / ghi), "hi": str(fhi / glo)},
         }
     return {"trace": trace, "limit": limit}
 
@@ -305,14 +302,9 @@ def power_bracketing_report(
     """
     if len(f.support) != 1 or len(g.support) != 1:
         raise ValueError("power bracketing needs singleton supports")
-    state = SequenceState.from_frame(frame)
-    mf = list(f.support[0])
-    mg = list(g.support[0])
+    images = rewrite_along((f.support[0], g.support[0]), argmin_word(frame))
     out = []
-    for n in range(1, steps + 1):
-        state, w = state.step_argmin()
-        mf[w] = sum(mf)
-        mg[w] = sum(mg)
+    for n, (mf, mg) in enumerate(itertools.islice(images, steps), 1):
         lower = all(q * a >= p * b for a, b in zip(mf, mg))
         upper = all(q * a >= (p + 1) * b for a, b in zip(mf, mg))
         out.append(
@@ -343,16 +335,16 @@ def comparability_index(
     q_img = _validate_monomial(q_mono, frame.dim)
     if p_img == q_img:
         raise ValueError("the two monomials must differ")
-    state = SequenceState.from_frame(frame)
-    t = 0
-    while t <= max_steps:
+    # no strip: it moves both images by the same amount, so q - p and
+    # with it every divisibility answer are the same with or without it
+    pairs = rewrite_along((p_img, q_img), argmin_word(frame))
+    for t, (p_img, q_img) in enumerate(itertools.chain([(p_img, q_img)], pairs)):
+        if t > max_steps:
+            break
         if divides(p_img, q_img):
             return t, "q/p"
         if divides(q_img, p_img):
             return t, "p/q"
-        state, w = state.step_argmin()
-        p_img, q_img = strip_rewrite((p_img, q_img), w)
-        t += 1
     raise NotTerminated(
         f"pair ideal still not principal after {max_steps} steps", steps=max_steps
     )

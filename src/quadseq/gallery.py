@@ -368,33 +368,21 @@ def gen_dvr(d: int = 2, steps: int = 1000) -> Scenario:
 _FRACTION_POOL = [Fraction(n, d) for n in range(1, 6) for d in range(1, 5)]
 
 
-def _stays_covered(values) -> bool:
-    """Sorted ascending as a_1 <= ... <= a_d: (j-2)*a_j < a_1+...+a_(j-1)
-    for every j >= 3.
-
-    A value larger than the sum of the others can never become the
-    minimum — that gap is invariant under steps in the other directions —
-    so such a frame starves its top coordinate from step 0.  Rejecting
-    those draws removes starvation that is baked in from the start.  It
-    is not a switching guarantee: repeatedly stepping the minimum can
-    still create a dominant coordinate later (for d >= 3 that is the
-    typical fate), after which the run stays inside a proper subset of
-    the directions and the running sum converges below the full ceiling.
-    """
-    import functools
-
-    return prefix_dominance(
-        sorted(values, key=functools.cmp_to_key(lambda u, v: u.cmp(v))))
-
-
 def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
     """Random frame c0, c1*sqrt(p1), ..., over distinct primes: argmin-driven.
 
     One slot is a plain rational; every other gets its own square-root
     generator, so no rational combination of distinct slots vanishes and
-    every argmin is unique.  Draws are rejected until the prefix
-    condition of _stays_covered holds, which rules out frames that lock
-    onto a proper subset of the directions.
+    every argmin is unique.
+
+    Draws are rejected until the values, sorted as a_1 < ... < a_d,
+    satisfy (j-2)*a_j < a_1 + ... + a_(j-1) for every j >= 3.  A draw
+    failing it has a top set of directions that is never stepped, from
+    step 0 on.  The condition does not rule out frames that lock: for
+    d >= 3 repeatedly stepping the minimum typically creates such a set
+    later (each of the 75 d >= 3 runs of the acceptance fixture has one
+    by step 50), after which the run stays inside a proper subset of the
+    directions and its running sum converges below the full ceiling.
     """
     if not 2 <= d <= 6:
         raise ConfigError("dimension must be between 2 and 6")
@@ -409,7 +397,7 @@ def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
             vec = [Fraction(0)] * d
             vec[i] = c
             values.append(basis.value(vec))
-        if _stays_covered(values):
+        if prefix_dominance(sorted(values)):
             break
     return Scenario(
         name=f"random-d{d}-s{seed}",

@@ -4,13 +4,15 @@ Monomials are tuples of nonnegative integer exponents.  A step in
 direction ``w`` rewrites a monomial by sending the ``w`` exponent to the
 total degree (every other variable picks up a factor of ``w``); the
 induced map on a monomial ideal additionally strips ``ord(I)`` powers of
-``w``, which is what makes orders drop.
+``w``, which is what makes orders drop.  ``rewrite_along`` follows a set of
+monomials along a word, possibly endless like ``sequence.argmin_word``,
+yielding their images after each letter.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyGeneratorSet, IndexOutOfRange
 from .values import ValueVector, _common_den
@@ -133,6 +135,22 @@ def rewrite_word(m: Monomial, word: Sequence[int]) -> Monomial:
     for w in word:
         m = rewrite_monomial(m, w)
     return m
+
+
+def rewrite_along(monos: Sequence[Monomial],
+                  word: Iterable[int]) -> Iterator[tuple[Monomial, ...]]:
+    """The images of ``monos`` after each letter of ``word``, without the
+    strip: a letter w sends each exponent m_w to |m|.  Lazy, so the word
+    may be endless."""
+    if not monos:
+        raise EmptyGeneratorSet("no monomials to rewrite")
+    dim = len(monos[0])
+    images = [list(_validate_monomial(m, dim)) for m in monos]
+    for w in word:
+        _check_direction(w, dim)
+        for m in images:
+            m[w] = sum(m)
+        yield tuple(map(tuple, images))
 
 
 def strip_rewrite(monos: Sequence[Monomial], direction: int) -> list[Monomial]:

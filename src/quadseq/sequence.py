@@ -18,6 +18,10 @@ so a 10^4-step run costs fractions of a second without ever trusting a
 float.  A state decides once whether its shadows are still precise
 enough, refreshing them if not.  Argmin, scripted and run-length steps
 and the quotient replay all go through one step kernel, ``_monomial``.
+
+Callers that need only the letters of an argmin run read them from
+``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
+frame has shrunk below a rational bound.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     AmbiguousDirection,
@@ -224,9 +228,6 @@ class SequenceState:
         vi, vj = self._vals[i], self._vals[j]
         return self.basis._sign_of_combo(tuple(a - b for a, b in zip(vi, vj)))
 
-    def _value_sign_exact(self, vec) -> int:
-        return self.basis._sign_of_combo(vec)
-
     # -- views ---------------------------------------------------------------
 
     @property
@@ -337,10 +338,10 @@ class SequenceState:
             for w in range(self.dim):
                 if w == mi or sh[w] - cshm > errs[w] + cerrm:
                     continue
-                sgn = self._value_sign_exact(
+                sgn = self.basis._sign_of_combo(
                     tuple(map(operator.sub, self._vals[w], cvm)))
                 if sgn < 0:
-                    mid = self._value_sign_exact(
+                    mid = self.basis._sign_of_combo(
                         tuple(map(operator.sub, self._vals[w], vm)))
                     if mid < 0:
                         raise DirectionNotMinimal(
@@ -460,7 +461,24 @@ class SequenceState:
             return -1
         d1 = self.dim - 1
         gap = tuple(s - d1 * e for s, e in zip(self._sum0, self._E))
-        return self._value_sign_exact(gap)
+        return self.basis._sign_of_combo(gap)
+
+    def frame_below(self, eps: Fraction) -> bool:
+        """Interval-certified: every current frame value is below eps.
+
+        The shadows reject quickly when some value certainly reaches eps;
+        the certificate itself is an exact rational enclosure per value,
+        so the answer is that of ``evaluate_interval(eps / 4)[1] < eps``
+        for every value.
+        """
+        sh, errs, t = self._ensure_shadows()
+        if any(
+            (s - e) * eps.denominator >= (1 << t) * eps.numerator
+            for s, e in zip(sh, errs)
+        ):
+            return False
+        quarter = eps / 4
+        return all(v.evaluate_interval(quarter)[1] < eps for v in self.frame_values)
 
     def starving_directions(self, window: int) -> set[str]:
         """Names absent from the last ``window`` direction-carrying steps.
@@ -567,6 +585,18 @@ class SequenceState:
                     else keep.index(rec.direction),
                 )
         return st
+
+
+def argmin_word(frame: ParameterFrame | Sequence[ValueVector]) -> Iterator[int]:
+    """The argmin word of ``frame``: one letter per ``step_argmin``, without end.
+
+    Lazy, so a tied minimum raises AmbiguousDirection when the letter of
+    that step is requested, and callers bound the word with ``islice``.
+    """
+    state = SequenceState.from_frame(frame)
+    while True:
+        state, w = state.step_argmin()
+        yield w
 
 
 def prefix_dominance(a: Sequence[ValueVector]) -> bool:

@@ -294,7 +294,7 @@ class ValueVector:
         return all(n == 0 for n in self._nums)
 
     def serialize(self) -> list[str]:
-        return [_format_fraction(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def deserialize(cls, basis: RealBasis, obj: Sequence[str]) -> "ValueVector":
@@ -435,10 +435,6 @@ def _common_den(vectors: Sequence[ValueVector]):
         tuple(n * (den // v._den) for n in v._nums) for v in vectors
     )
     return nums, den
-
-
-def _format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
 def value_cmp(a: ValueVector, b: ValueVector) -> int:

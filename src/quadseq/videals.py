@@ -18,6 +18,7 @@ corners of the staircase, found by set lookups.  No float is involved.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Sequence, Union
@@ -30,12 +31,10 @@ from .monomials import (
     least_value,
     monomial_value,
 )
-from .sequence import ParameterFrame, SequenceState
+from .sequence import ParameterFrame, argmin_word
 from .values import ValueVector, _common_den
 
 FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
-
-_cmp_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
 
 
 def _values_of(frame: FrameLike) -> tuple[ValueVector, ...]:
@@ -269,14 +268,10 @@ def tau_bound(frame: FrameLike, n_ideals: int, max_steps: int = 10_000) -> int:
 
     Raises NotTerminated when ``max_steps`` letters were not enough.
     """
-    chain = videal_chain(frame, n_ideals)
-    ideals = [entry["ideal"] for entry in chain]
-    state = SequenceState.from_frame(frame)
-    extensions = list(ideals)
+    extensions = [entry["ideal"] for entry in videal_chain(frame, n_ideals)]
     if all(e.is_principal for e in extensions):
         return 0
-    for j in range(1, max_steps + 1):
-        state, w = state.step_argmin()
+    for j, w in enumerate(itertools.islice(argmin_word(frame), max_steps), 1):
         extensions = [extend_ideal(e, [w]) for e in extensions]
         if all(e.is_principal for e in extensions):
             return j
@@ -297,8 +292,8 @@ def short_chain_report(frame: FrameLike) -> dict:
     """
     vals = _values_of(frame)
     d = len(vals)
-    vmin = min(vals, key=_cmp_key)
-    vmax = max(vals, key=_cmp_key)
+    vmin = min(vals)
+    vmax = max(vals)
     applies = vmax.cmp(vmin.scale(2)) < 0
     report = {"applies": applies}
     if not applies:

@@ -200,6 +200,17 @@ def test_integer_options_below_their_least_exit_two(tmp_path, capsys, key, least
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1/2"])
+def test_non_positive_small_threshold_exits_two(tmp_path, capsys, threshold):
+    # bound63 used to escape as a raw ValueError from evaluate_interval
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "random", "steps": 40, "checks": ["bound63"],
+                                "options": {"small_threshold": threshold}}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert (f"config error: options.small_threshold: must be > 0, got {threshold}"
+            in capsys.readouterr().err)
+
+
 def test_unknown_option_keys_exit_two(tmp_path, capsys):
     # a misspelt key used to run silently with the default
     path = tmp_path / "cfg.json"

@@ -18,8 +18,8 @@ from quadseq.forms import (
     transform_form,
     value_of_form,
 )
-from quadseq.monomials import minimalize
-from quadseq.sequence import ParameterFrame
+from quadseq.monomials import divides, minimalize, strip_rewrite
+from quadseq.sequence import ParameterFrame, SequenceState
 from quadseq.values import RealBasis
 
 B2 = RealBasis.default(2)
@@ -72,6 +72,11 @@ def test_order_drop_missing_direction_witness():
     assert report["witness"].support == (((0, 1)),)
     assert report["witness_trace"] == (1, 1, 1, 1)
     assert report["witness_constant"]
+
+
+def test_order_drop_refuses_a_degree_below_one():
+    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+        order_drop_report(2, [0, 1], 0)
 
 
 def _oracle_report(dim, word, max_degree):
@@ -201,6 +206,47 @@ def test_comparability_side_matches_value_order():
         t, side = comparability_index(frame, p, q)
         vp, vq = monomial_value(vals, p), monomial_value(vals, q)
         assert side == ("q/p" if vq.cmp(vp) >= 0 else "p/q")
+
+
+def _comparability_by_strip(frame, p_img, q_img, max_steps):
+    """The stripping loop comparability_index used to run: the reference."""
+    state = SequenceState.from_frame(frame)
+    t = 0
+    while t <= max_steps:
+        if divides(p_img, q_img):
+            return t, "q/p"
+        if divides(q_img, p_img):
+            return t, "p/q"
+        state, w = state.step_argmin()
+        p_img, q_img = strip_rewrite((p_img, q_img), w)
+        t += 1
+    return None
+
+
+@st.composite
+def _comparability_cases(draw):
+    d = draw(st.integers(2, 4))
+    basis = RealBasis.default(d)
+    coeffs = [F(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(d)]
+    # a rational slot and one square-root slot per other direction: no ties
+    frame = ParameterFrame([basis.rational(coeffs[0])] + [
+        basis.value([c if j == i else 0 for j in range(d)])
+        for i, c in enumerate(coeffs) if i])
+    mono = st.tuples(*[st.integers(0, 5)] * d)
+    p, q = draw(st.lists(mono, min_size=2, max_size=2, unique=True))
+    return frame, p, q, draw(st.integers(0, 8))
+
+
+@given(_comparability_cases())
+@settings(max_examples=80, deadline=None)
+def test_comparability_index_matches_the_stripping_loop(case):
+    frame, p, q, max_steps = case
+    expected = _comparability_by_strip(frame, p, q, max_steps)
+    if expected is None:
+        with pytest.raises(NotTerminated):
+            comparability_index(frame, p, q, max_steps)
+    else:
+        assert comparability_index(frame, p, q, max_steps) == expected
 
 
 monomials2 = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda m: sum(m) > 0)

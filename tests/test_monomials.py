@@ -15,6 +15,7 @@ from quadseq.monomials import (
     least_value,
     minimalize,
     monomial_value,
+    rewrite_along,
     rewrite_matrix,
     rewrite_monomial,
     rewrite_word,
@@ -183,3 +184,27 @@ def test_extension_of_extension_composes(gens, word):
     for w in word:
         step_by_step = extend_ideal(step_by_step, [w])
     assert step_by_step == extend_ideal(ideal, word)
+
+
+@st.composite
+def _rewrite_cases(draw):
+    d = draw(st.integers(1, 5))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=4))
+    return monos, draw(st.lists(st.integers(0, d - 1), max_size=12))
+
+
+@given(_rewrite_cases())
+@settings(max_examples=150)
+def test_rewrite_along_matches_rewrite_word_on_every_prefix(case):
+    monos, word = case
+    images = list(rewrite_along(monos, word))
+    assert len(images) == len(word)
+    for n, image in enumerate(images, 1):
+        assert image == tuple(rewrite_word(m, word[:n]) for m in monos)
+
+
+def test_rewrite_along_refuses_bad_input():
+    with pytest.raises(IndexOutOfRange):
+        list(rewrite_along([(1, 0)], [0, -1]))
+    with pytest.raises(EmptyGeneratorSet):
+        list(rewrite_along([], [0]))

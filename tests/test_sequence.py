@@ -1,10 +1,11 @@
 """Stepping, conservation, bounds, and the sequence-level reports."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadseq.errors import (
@@ -15,7 +16,7 @@ from quadseq.errors import (
     KilledDirectionUsed,
     NonPositiveValue,
 )
-from quadseq.sequence import ParameterFrame, SequenceState, StepRecord
+from quadseq.sequence import ParameterFrame, SequenceState, StepRecord, argmin_word
 from quadseq.values import RealBasis
 
 B2 = RealBasis.default(2)
@@ -368,6 +369,71 @@ def test_stepping_matches_a_shadow_free_oracle(run):
     oracle.rescale(new_values, rescale_dir)
     _assert_agrees(state, oracle)
     _argmin_phase(state, oracle, 25)
+
+
+def _step_letters(frame, steps):
+    """The step_argmin letters, and whether a tie stopped them."""
+    state, word = SequenceState.from_frame(frame), []
+    for _ in range(steps):
+        try:
+            state, w = state.step_argmin()
+        except AmbiguousDirection:
+            return word, True
+        word.append(w)
+    return word, False
+
+
+# small rational frames tie often; the large ones exercise the shadows
+_SMALL = st.integers(2, 5).flatmap(lambda d: st.lists(
+    st.integers(1, 8).map(RealBasis.default(d).rational), min_size=d, max_size=d))
+
+
+@given(st.one_of(_SMALL, st.integers(2, 5).flatmap(_big_values)))
+@settings(max_examples=80, deadline=None)
+def test_argmin_word_matches_step_argmin(frame):
+    expected, tied = _step_letters(frame, 30)
+    word = argmin_word(frame)
+    assert list(itertools.islice(word, len(expected))) == expected
+    if tied:
+        with pytest.raises(AmbiguousDirection):
+            next(word)
+
+
+def test_argmin_word_raises_at_the_tied_step():
+    # (1, 2): the first letter is x, after which both values are 1
+    frame = ParameterFrame([B2.rational(1), B2.rational(2)])
+    word = argmin_word(frame)
+    assert next(word) == 0
+    with pytest.raises(AmbiguousDirection):
+        next(word)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.booleans(), st.integers(0, 12),
+       st.sampled_from([1, 4, 60, 400]), st.sampled_from([-1, 0, 1]))
+@example(seed=0, d=2, rational=True, steps=0, k=400, side=1)
+@example(seed=0, d=2, rational=True, steps=0, k=400, side=0)
+@settings(max_examples=80, deadline=None)
+def test_frame_below_matches_the_interval_certificate(seed, d, rational, steps, k, side):
+    """eps sits at, just above or just below the largest value, down to a
+    relative 2^-400 away: inside the shadows' error band and outside it."""
+    rng = random.Random(seed)
+    basis = RealBasis.default(d)
+    if rational:
+        frame = ParameterFrame([basis.rational(F(rng.randint(1, 99), rng.randint(1, 9)))
+                                for _ in range(d)])
+    else:
+        frame = _random_frame(rng, d)
+    state = SequenceState.from_frame(frame)
+    for _ in range(steps):
+        try:
+            state, _ = state.step_argmin()
+        except AmbiguousDirection:
+            break
+    _, hi = max(state.frame_values).evaluate_interval(F(1, 2 ** (k + 8)))
+    eps = hi * (1 + F(side, 2 ** k))
+    by_intervals = all(v.evaluate_interval(eps / 4)[1] < eps for v in state.frame_values)
+    assert state.frame_below(eps) == by_intervals
+    assert not state.frame_below(F(0))
 
 
 def test_long_runs_refresh_the_shadows_once_per_state(monkeypatch):
