@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -237,7 +238,9 @@ def build_trace(art: RunArtifacts, width: Fraction) -> list[dict]:
 
     Nothing is stepped.  E is the running sum of m * count, exact because
     a rescale adds its m to E as a monomial step does; an enclosure does
-    not depend on the denominator a value is written over.
+    not depend on the denominator a value is written over.  ``count`` is
+    an int, so the only Fractions built per record are the four reduced
+    endpoints of the two enclosures.
     """
     final = art.final
     total = final.basis.zero()
@@ -288,10 +291,27 @@ CSV_COLUMNS = ("step", "kind", "dir", "m_lo", "m_hi", "E_lo", "E_hi")
 
 
 def write_csv(path: str, trace: list[dict]) -> None:
+    """Write the trace rows as CSV, one row at a time, quoted as
+    ``csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\\n")`` would quote them.
+
+    ``step`` is an int, ``kind`` is ``monomial`` or ``rescale`` and the four
+    bounds are ``num/den`` strings, so none of them ever needs quoting.
+    Only ``dir``, a direction name the config chooses, can: each distinct
+    name is written once by the csv module, as the first cell of a
+    two-field row, so that the empty name of a rescale row stays empty
+    where a one-field row would quote it as ``""``.
+    """
+    cells: dict[str, str] = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(trace)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for row in trace:
+            name = row["dir"]
+            if name not in cells:
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerow((name, ""))
+                cells[name] = buf.getvalue()[:-2]
+            fh.write(f"{row['step']},{row['kind']},{cells[name]},{row['m_lo']},"
+                     f"{row['m_hi']},{row['E_lo']},{row['E_hi']}\n")
 
 
 # -- subcommands -----------------------------------------------------------------

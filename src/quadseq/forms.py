@@ -338,9 +338,10 @@ def comparability_index(
     # no strip: it moves both images by the same amount, so q - p and
     # with it every divisibility answer are the same with or without it
     pairs = rewrite_along((p_img, q_img), argmin_word(frame))
-    for t, (p_img, q_img) in enumerate(itertools.chain([(p_img, q_img)], pairs)):
-        if t > max_steps:
-            break
+    # steps 0..max_steps, so no argmin step past the last allowed one is taken
+    walk = itertools.islice(itertools.chain([(p_img, q_img)], pairs),
+                            max(max_steps + 1, 0))
+    for t, (p_img, q_img) in enumerate(walk):
         if divides(p_img, q_img):
             return t, "q/p"
         if divides(q_img, p_img):

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     AmbiguousDirection,
@@ -92,8 +91,7 @@ class ParameterFrame:
         return f"ParameterFrame({inner})"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One step: ``monomial`` (direction, possibly run-length compressed) or ``rescale``."""
 
     kind: str

@@ -353,6 +353,8 @@ class ValueVector:
 
     def scale(self, q: Rational) -> "ValueVector":
         """Multiply by an exact rational scalar."""
+        if type(q) is int:
+            return ValueVector._raw(self.basis, tuple(n * q for n in self._nums), self._den)
         q = _to_fraction(q)
         return ValueVector._raw(
             self.basis,
@@ -412,18 +414,27 @@ class ValueVector:
     # -- numeric views -------------------------------------------------------
 
     def evaluate_interval(self, max_width: Fraction = Fraction(1, 10**6)) -> tuple[Fraction, Fraction]:
-        """Rational interval [lo, hi] containing the value, hi - lo <= max_width."""
+        """Rational interval [lo, hi] containing the value, hi - lo <= max_width.
+
+        The enclosure is (s -+ err) / (den * 2^bits) for the fixpoint
+        ``(s, err)`` at the first of 64, 128, 256, ... bits where it is
+        narrow enough.  Its width 2*err / (den * 2^bits) does not depend on
+        s, and err (the sum of |n_i| over the irrational generators) does
+        not depend on bits, so the precision is picked by an integer test
+        before the one fixpoint is evaluated.
+        """
         max_width = _to_fraction(max_width)
         if max_width <= 0:
             raise ValueError("interval width must be positive")
+        basis = self.basis
+        need = 2 * max_width.denominator * sum(
+            abs(n) for n, g in zip(self._nums, basis.generators) if not g.is_rational)
         bits = 64
-        while True:
-            s, err = self.basis._eval_fixpoint(self._nums, bits)
-            scale = self._den << bits
-            lo, hi = Fraction(s - err, scale), Fraction(s + err, scale)
-            if hi - lo <= max_width:
-                return lo, hi
+        while need > max_width.numerator * (self._den << bits):
             bits <<= 1
+        s, err = basis._eval_fixpoint(self._nums, bits)
+        scale = self._den << bits
+        return Fraction(s - err, scale), Fraction(s + err, scale)
 
 
 def _common_den(vectors: Sequence[ValueVector]):

@@ -1,5 +1,7 @@
 """Command line surface: determinism, exit codes, report formats."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -101,6 +103,51 @@ def test_csv_trace_golden(tmp_path):
         "3,monomial,x,1/1,1/1,3/1,3/1\n"
         "4,rescale,,1/1,1/1,4/1,4/1\n"
     )
+
+
+def _dictwriter_text(trace):
+    """The CSV text csv.DictWriter writes for ``trace``: the reference."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=cli.CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(trace)
+    return buf.getvalue()
+
+
+# each needs quoting, or looks as if it might
+_AWKWARD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "\u00e9t\u00e9 \u221a2"]
+
+
+def test_write_csv_matches_dictwriter(tmp_path):
+    trace = []
+    for n in range(1, 25):
+        rescale = n % 4 == 0
+        trace.append({
+            "step": n, "kind": "rescale" if rescale else "monomial",
+            "dir": "" if rescale else _AWKWARD_NAMES[n % len(_AWKWARD_NAMES)],
+            "m_lo": f"{n}/7", "m_hi": f"-{n + 1}/7",
+            "E_lo": f"{n * n}/3", "E_hi": f"{n * n + 1}/3",
+        })
+    path = tmp_path / "trace.csv"
+    cli.write_csv(str(path), trace)
+    assert path.read_bytes() == _dictwriter_text(trace).encode()
+
+
+def test_run_quotes_direction_names_as_dictwriter(tmp_path):
+    cfg = tmp_path / "names.json"
+    cfg.write_text(json.dumps({
+        "dimension": 3, "frame": ["1", "3", "5"], "mode": "scripted",
+        "names": ["x,1", "y\n2", '\u00e9 "3"\r'],
+        "plan": [{"kind": "monomial", "direction": 0},
+                 {"kind": "rescale", "values": ["2", "1", "3/2"]},
+                 {"kind": "monomial", "direction": 1},
+                 {"kind": "monomial", "direction": 2}],
+    }))
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert [row["dir"] for row in rep["trace"]] == ["x,1", "", "y\n2", '\u00e9 "3"\r']
+    assert (out / "trace.csv").read_bytes() == _dictwriter_text(rep["trace"]).encode()
 
 
 def test_interval_width_is_honored(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadseq.errors import NotTerminated, RatioUndefined
+from quadseq.errors import AmbiguousDirection, NotTerminated, RatioUndefined
 from quadseq.forms import (
     MonomialForm,
     comparability_index,
@@ -195,6 +195,26 @@ def test_comparability_index_frozen():
         comparability_index(frame, (1, 0), (1, 0))
     with pytest.raises(NotTerminated):
         comparability_index(frame, (0, 1), (2, 0), max_steps=1)
+
+
+def test_comparability_index_takes_no_step_past_max_steps(monkeypatch):
+    real = SequenceState.step_argmin
+    calls = []
+
+    def counting(state):
+        calls.append(state.step_count)
+        return real(state)
+
+    monkeypatch.setattr(SequenceState, "step_argmin", counting)
+    with pytest.raises(NotTerminated):
+        comparability_index(frame_1_sqrt2(), (0, 1), (2, 0), max_steps=1)
+    assert len(calls) == 1
+    # (2, 1) ties at step 2: a bound of one step must not reach the tie
+    tied = ParameterFrame([B2.rational(2), B2.rational(1)])
+    with pytest.raises(NotTerminated):
+        comparability_index(tied, (2, 0), (0, 3), max_steps=1)
+    with pytest.raises(AmbiguousDirection):
+        comparability_index(tied, (2, 0), (0, 3), max_steps=2)
 
 
 def test_comparability_side_matches_value_order():

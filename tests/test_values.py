@@ -124,6 +124,50 @@ def test_interval_exact_for_rationals():
     assert hi - lo <= F(1, 10**30)
 
 
+def _interval_by_doubling(v, max_width):
+    """The loop evaluate_interval used to run: the reference."""
+    bits = 64
+    while True:
+        s, err = v.basis._eval_fixpoint(v._nums, bits)
+        scale = v._den << bits
+        lo, hi = F(s - err, scale), F(s + err, scale)
+        if hi - lo <= max_width:
+            return lo, hi
+        bits <<= 1
+
+
+_big = st.integers(-10**30, 10**30)
+
+
+@st.composite
+def _interval_cases(draw):
+    basis = RealBasis.default(draw(st.integers(1, 4)))
+    coeffs = [F(draw(_big), draw(st.integers(1, 10**30))) for _ in range(basis.size)]
+    if draw(st.booleans()):
+        # rational only (zero when the rational slot draws 0): err = 0
+        coeffs[1:] = [0] * (basis.size - 1)
+    v = basis.value(coeffs)
+    den = math.lcm(*(c.denominator for c in v.coeffs))
+    err = sum(abs(c * den) for c in v.coeffs[1:])
+    if err and draw(st.booleans()):
+        # exactly the width of the enclosure at 64, 128, 256 or 512 bits
+        bits = 64 << draw(st.integers(0, 3))
+        width = F(2 * err, den << bits)
+    else:
+        width = F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**40)))
+        width = min(max(width, F(1, 10**40)), F(10**6))
+    return v, width
+
+
+@given(_interval_cases())
+@settings(max_examples=300, deadline=None)
+def test_interval_matches_the_doubling_loop(case):
+    v, width = case
+    lo, hi = v.evaluate_interval(width)
+    assert (lo, hi) == _interval_by_doubling(v, width)
+    assert lo <= hi and hi - lo <= width
+
+
 def test_serialize_round_trip():
     v = B2.value([F(-3, 2), F(7)])
     assert v.serialize() == ["-3/2", "7"]
