@@ -63,6 +63,18 @@ class NotTerminated(QuadseqError):
         self.steps = steps
 
 
+class CensusTooLarge(QuadseqError):
+    """A valuation-ideal census would walk more monomials than its cap.
+
+    ``estimate`` is the proven upper bound on the staircase size that
+    exceeded the cap; it is computed before any monomial is walked.
+    """
+
+    def __init__(self, message: str, estimate: int = 0):
+        super().__init__(message)
+        self.estimate = estimate
+
+
 class ConfigError(QuadseqError):
     """A scenario configuration is malformed or inconsistent."""
 

@@ -149,13 +149,16 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
 @lru_cache(maxsize=None)
 def _antichain_columns(dim: int, max_degree: int) -> np.ndarray:
     """Every antichain, padded to the full width with copies of its first
-    member, as read-only exponent columns: shape ``(dim, N, width)``."""
+    member, as read-only exponent columns of shape ``(dim, width, N)``,
+    C-contiguous: ``columns[i, k]`` holds exponent i of the k-th member of
+    all N antichains side by side, so a reduction over the members
+    (axis 0 of a column) runs over contiguous rows of length N."""
     chains = enumerate_antichains(dim, max_degree)
     width = max(map(len, chains))
-    exponents = (m[i] for i in range(dim) for c in chains
-                 for m in c + (c[0],) * (width - len(c)))
-    columns = np.fromiter(exponents, dtype=np.int64, count=dim * len(chains) * width)
-    columns = columns.reshape(dim, len(chains), width)
+    padded = [c + (c[0],) * (width - len(c)) for c in chains]
+    exponents = (c[k][i] for i in range(dim) for k in range(width) for c in padded)
+    columns = np.fromiter(exponents, dtype=np.int64, count=dim * width * len(chains))
+    columns = columns.reshape(dim, width, len(chains))
     columns.setflags(write=False)
     return columns
 
@@ -175,6 +178,9 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
     degree at most doubles.  The sweep runs in int64 while
     ``max_degree.bit_length() + len(word) <= 62`` and in Python integers
     otherwise, with the same statements, so it is exact for every word.
+    The degrees are a ``(width, N)`` table, one row per member slot, so
+    each order is a minimum over axis 0: N contiguous rows reduced
+    elementwise.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -200,18 +206,18 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
         columns = columns.astype(object)
     deg = columns.sum(axis=0)
     columns = list(columns)
-    initial = order = deg.min(axis=1)
+    initial = order = deg.min(axis=0)
     monotone = True
     for w in word:
-        new = deg - order[:, None]
-        deg = deg - columns[w]
+        new = deg - order
+        deg -= columns[w]
         deg += new
         columns[w] = new
-        prev, order = order, deg.min(axis=1)
+        prev, order = order, deg.min(axis=0)
         monotone = monotone and bool((order <= prev).all())
     return {
         "full_coverage": True,
-        "forms_checked": len(deg),
+        "forms_checked": deg.shape[1],
         "all_drop": bool((order < initial).all()),
         "orders_monotone": monotone,
         "max_final_order": int(order.max()),

@@ -6,13 +6,17 @@ the exponent-weighted sum.  For a threshold t the sets {v(m) >= t} and
 upward produces the descending chain of valuation ideals.
 
 Everything rests on one exact census, ``_FrameData.below``: the
-staircase of monomials under a threshold, walked breadth first.  Each
-monomial carries its exact integer value row over the frame's common
-denominator and an integer fixpoint with a proven error bound.  The
-fixpoint decides a comparison whenever the gap exceeds the error, and
-exact sign refinement decides the rest.  Value equality is row
-equality, and the minimal generators of a threshold ideal are the
-corners of the staircase, found by set lookups.  No float is involved.
+staircase of monomials under a threshold, walked breadth first, and its
+frontier, the children the walk rejects.  Each monomial carries its
+exact integer value row over the frame's common denominator and an
+integer fixpoint with a proven error bound.  The fixpoint decides a
+comparison whenever the gap exceeds the error, and exact sign
+refinement decides the rest.  Value equality is row equality.  The
+minimal generators of a threshold ideal are the corners of the
+staircase, read off the frontier: a corner's predecessor along its
+last variable is inside, so the walk has already rejected it.  Before
+walking, the census bounds its own size from the fixpoints and refuses
+with ``CensusTooLarge`` above ``CENSUS_CAP``.  No float is involved.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import operator
 from typing import Sequence, Union
 
-from .errors import NotTerminated
+from .errors import CensusTooLarge, NotTerminated
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -35,6 +39,13 @@ from .sequence import ParameterFrame, argmin_word
 from .values import ValueVector, _common_den
 
 FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
+
+# The most monomials one census may walk, checked against a proven upper
+# bound (``_FrameData.size_bound``) before the walk.  A walked monomial
+# costs about 300 bytes on CPython 3.11, so the cap keeps a census under
+# about 400 MB.  The largest bound that the tests, the acceptance criteria
+# and the benchmark meet is 5,202 (5,051 monomials walked).
+CENSUS_CAP = 1_000_000
 
 
 def _values_of(frame: FrameLike) -> tuple[ValueVector, ...]:
@@ -73,6 +84,7 @@ class _FrameData:
 
     def side(self, t: ValueVector):
         """The exact sign of v - t, as a function of v's (row, s, err)."""
+        t._check_basis(self)  # self carries the frame's basis like a value
         td, tn, den = t._den, t._nums, self.den
         ts, terr = self.basis._eval_fixpoint(tn, self.bits)
         ts, terr = ts * den, terr * den
@@ -87,17 +99,45 @@ class _FrameData:
 
         return side
 
-    def below(self, t: ValueVector, strict: bool) -> list[tuple]:
-        """Every (m, row, s, err) with v(m) < t (strict) or v(m) <= t.
+    def size_bound(self, t: ValueVector) -> int:
+        """An upper bound on the number of monomials with v(m) <= t.
+
+        Only variables with v_i <= t can occur; A holds them, and any
+        variable the fixpoints cannot place above t.  The unit cubes
+        m + [0, 1)^A of those monomials are disjoint and lie in the
+        simplex sum x_i v_i <= t + sum_A v_i, so there are at most
+        (t + sum_A v_i)^|A| / (|A|! prod_A v_i) of them.  Every quantity
+        is an integer bound from the fixpoints, on the scale
+        2^bits * den * t's denominator.
+        """
+        ts, terr = self.basis._eval_fixpoint(t._nums, self.bits)
+        top = (ts + terr) * self.den
+        lows = [(s - e) * t._den for s, e in self.fix]
+        active = [i for i, low in enumerate(lows) if low <= top]
+        span = top + sum((self.fix[i][0] + self.fix[i][1]) * t._den for i in active)
+        vol = math.factorial(len(active)) * math.prod(lows[i] for i in active)
+        return -(-span ** len(active) // vol)
+
+    def below(self, t: ValueVector, strict: bool) -> tuple[list[tuple], list]:
+        """Every (m, row, s, err) with v(m) < t (strict) or v(m) <= t, and
+        the frontier: every child m + x_i the walk rejected.
 
         Breadth first, so each m - x_j comes before m.  A monomial is
         reached only from m minus its last variable, and a child outside
-        prunes its subtree, since every value is positive.
+        prunes its subtree, since every value is positive.  Raises
+        CensusTooLarge, before walking, when ``size_bound(t)`` exceeds
+        ``CENSUS_CAP``.
         """
         side = self.side(t)
+        bound = self.size_bound(t)
+        if bound > CENSUS_CAP:
+            raise CensusTooLarge(
+                f"census under the threshold may hold {bound} monomials, "
+                f"above the cap of {CENSUS_CAP}", estimate=bound)
         limit = 0 if strict else 1
         root = ((0,) * self.dim, (0,) * self.basis.size, 0, 0)
         out, starts = ([root], [0]) if side(*root[1:]) < limit else ([], [])
+        rejected = []
         k = 0
         while k < len(out):
             m, row, s, err = out[k]
@@ -107,8 +147,10 @@ class _FrameData:
                 if side(*child[1:]) < limit:
                     out.append(child)
                     starts.append(i)
+                else:
+                    rejected.append(child[0])
             k += 1
-        return out
+        return out, rejected
 
     def levels(self, bound: ValueVector) -> list[list]:
         """The distinct values <= bound, ascending, as [row, s, err, monomials].
@@ -118,7 +160,7 @@ class _FrameData:
         largest error is then sorted exactly.
         """
         groups: dict[tuple, list] = {}
-        for m, row, s, err in self.below(bound, strict=False):
+        for m, row, s, err in self.below(bound, strict=False)[0]:
             groups.setdefault(row, [row, s, err, []])[3].append(m)
         rough = sorted(groups.values(), key=operator.itemgetter(1))
         slack = 2 * max((g[2] for g in rough), default=0)
@@ -184,14 +226,23 @@ def value_ladder(frame: FrameLike, count: int) -> list[ValueVector]:
 
 def videal_at(frame: FrameLike, threshold: ValueVector, strict: bool = False) -> MonomialIdeal:
     """The monomial ideal {m : v(m) >= threshold} (or >, when strict),
-    generated by the corners of the staircase of monomials outside it."""
+    generated by the corners of the staircase of monomials outside it.
+
+    The corners are the rejected children of the census whose every
+    predecessor c - x_j is inside; when nothing is inside, the unit
+    monomial is the only corner.  Raises CensusTooLarge when the
+    staircase may exceed ``CENSUS_CAP`` monomials.
+    """
     data = _FrameData(frame)
     if threshold.sign() < 0:
         raise ValueError("thresholds are nonnegative")
-    inside: set = set()
-    corners = {(0,) * data.dim}  # the unit ideal while nothing is inside
-    for node in data.below(threshold, not strict):
-        _absorb(inside, corners, node[0])
+    nodes, rejected = data.below(threshold, not strict)
+    if not nodes:
+        return MonomialIdeal._raw([(0,) * data.dim], data.dim)
+    inside = {node[0] for node in nodes}
+    corners = [c for c in rejected
+               if all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside
+                      for j, e in enumerate(c))]
     return MonomialIdeal._raw(corners, data.dim)
 
 
@@ -205,7 +256,7 @@ def colength_step(frame: FrameLike, threshold: ValueVector) -> int:
     data = _FrameData(frame)
     row = tuple(n * data.den for n in threshold._nums)
     return sum(tuple(r * threshold._den for r in node[1]) == row
-               for node in data.below(threshold, strict=False))
+               for node in data.below(threshold, strict=False)[0])
 
 
 def videal_chain(frame: FrameLike, count: int) -> list[dict]:

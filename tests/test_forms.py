@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quadseq.errors import AmbiguousDirection, NotTerminated, RatioUndefined
 from quadseq.forms import (
     MonomialForm,
+    _antichain_columns,
     comparability_index,
     enumerate_antichains,
     ord_trace,
@@ -48,6 +49,21 @@ def test_transform_form_example():
 def test_antichain_counts_frozen():
     assert len(enumerate_antichains(2, 3)) == 40
     assert len(enumerate_antichains(3, 3)) == 2496
+
+
+@pytest.mark.parametrize("dim, max_degree", [(2, 3), (3, 2), (3, 3)])
+def test_antichain_columns_layout(dim, max_degree):
+    # (dim, width, N), C-contiguous: the sweep's minima over the members
+    # reduce N contiguous rows; the cached table is shared, so read-only
+    chains = enumerate_antichains(dim, max_degree)
+    width = max(map(len, chains))
+    columns = _antichain_columns(dim, max_degree)
+    assert columns.shape == (dim, width, len(chains))
+    assert columns.flags.c_contiguous
+    assert not columns.flags.writeable
+    for n, c in enumerate(chains):
+        padded = c + (c[0],) * (width - len(c))
+        assert [tuple(int(e) for e in columns[:, k, n]) for k in range(width)] == list(padded)
 
 
 def test_order_drop_full_coverage_d2():

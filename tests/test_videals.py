@@ -2,14 +2,19 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadseq.errors import NotTerminated
+import quadseq
+from quadseq.errors import BasisMismatch, CensusTooLarge, NotTerminated, QuadseqError
 from quadseq.monomials import MonomialIdeal, extend_ideal, monomial_value, total_degree
 from quadseq.sequence import ParameterFrame, SequenceState
 from quadseq.values import RealBasis
@@ -339,7 +344,7 @@ def test_ladder_census_stays_small_on_spread_frames(small, monkeypatch):
 
     def counted(self, t, strict):
         out = below(self, t, strict)
-        sizes.append(len(out))
+        sizes.append(len(out[0]))
         return out
 
     monkeypatch.setattr(videals._FrameData, "below", counted)
@@ -410,3 +415,111 @@ def test_census_matches_brute_force(vals, data):
     assert [e["threshold"] for e in chain] == ladder
     assert [e["ideal"] for e in chain] == [brute_ideal(vals, t) for t in ladder]
     assert [e["colength"] for e in chain] == [brute_colength(vals, t) for t in ladder]
+
+
+# -- frontier corners, basis checks and the census cap --------------------------
+
+
+def _oracle_absorb(inside, corners, m):
+    corners.discard(m)
+    inside.add(m)
+    for i in range(len(m)):
+        c = m[:i] + (m[i] + 1,) + m[i + 1:]
+        if all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside for j, e in enumerate(c)):
+            corners.add(c)
+
+
+def absorb_ideal(frame, t, strict):
+    """{v >= t} (or > t) by absorbing every census node in walk order and
+    keeping the minimal monomials outside: d candidate corners per node,
+    each tested by d set lookups."""
+    data = videals._FrameData(frame)
+    inside, corners = set(), {(0,) * data.dim}
+    for node in data.below(t, not strict)[0]:
+        _oracle_absorb(inside, corners, node[0])
+    return MonomialIdeal._raw(corners, data.dim)
+
+
+@st.composite
+def census_frames(draw):
+    """d = 2..5 values in about [0.7, 2] over (1, sqrt2, sqrt3): rationals,
+    rational multiples of sqrt2 and rationals plus a multiple of sqrt3,
+    so exact ties and irrational gaps both occur."""
+    vals = []
+    for _ in range(draw(st.integers(2, 5))):
+        a = F(draw(st.integers(4, 8)), 4)
+        kind = draw(st.sampled_from(["rational", "sqrt2", "sqrt3"]))
+        if kind == "rational":
+            vals.append(B3.rational(a))
+        elif kind == "sqrt2":
+            vals.append(B3.value([0, a * F(3, 4), 0]))
+        else:
+            vals.append(B3.value([a / 2, 0, F(draw(st.integers(1, 4)), 8)]))
+    return vals
+
+
+@given(census_frames(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_frontier_corners_match_the_absorb_oracle(vals, data):
+    frame = ParameterFrame(vals)
+    vmax = max(vals, key=functools.cmp_to_key(lambda a, b: a.cmp(b)))
+    attained = enumerate_values(frame, vmax.scale(2))
+    i = data.draw(st.integers(0, len(attained) - 2))
+    at_value = attained[i]
+    between = (attained[i] + attained[i + 1]).scale(F(1, 2))
+    census = videals._FrameData(frame)
+    for t in (at_value, between):
+        for strict in (False, True):
+            assert videal_at(frame, t, strict) == absorb_ideal(frame, t, strict)
+        # the cap rests on this bound being an upper one
+        assert census.size_bound(t) >= len(census.below(t, strict=False)[0])
+
+
+def test_threshold_over_another_basis_is_refused():
+    # (1, sqrt2) numerators zipped against a (1, sqrt2, sqrt3) threshold
+    # used to drop the sqrt3 part and return the unit ideal
+    frame = frame_1_sqrt2()
+    t = B3.value([0, 0, 3])
+    with pytest.raises(BasisMismatch):
+        videal_at(frame, t)
+    with pytest.raises(BasisMismatch):
+        enumerate_values(frame, t)
+    with pytest.raises(BasisMismatch):
+        colength_step(frame, t)
+
+
+_SPREAD_CENSUS = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from quadseq.errors import CensusTooLarge
+from quadseq.sequence import ParameterFrame
+from quadseq.values import RealBasis
+from quadseq.videals import colength_step, enumerate_values, videal_at
+basis = RealBasis.default(2)
+t = basis.rational(3 * 10**12)
+for small in (basis.rational(1), basis.value([0, 1])):
+    frame = ParameterFrame([small, basis.rational(10**12)])
+    for call in (videal_at, colength_step, enumerate_values):
+        start = time.perf_counter()
+        try:
+            call(frame, t)
+        except CensusTooLarge as exc:
+            print(call.__name__, exc.estimate, time.perf_counter() - start)
+"""
+
+
+def test_census_on_a_spread_frame_is_refused_within_a_second():
+    # about 6 * 10^12 monomials lie under the threshold; the walk would
+    # exhaust memory, so the child runs under a 512 MiB address-space limit
+    assert issubclass(CensusTooLarge, QuadseqError)  # the CLI exits 2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadseq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(_SPREAD_CENSUS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _, _ in lines] == ["videal_at", "colength_step",
+                                              "enumerate_values"] * 2
+    for _, estimate, seconds in lines:
+        assert int(estimate) > videals.CENSUS_CAP
+        assert float(seconds) < 1.0
