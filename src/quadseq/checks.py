@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from .errors import (
     AmbiguousDirection,
+    CensusTooLarge,
     ConfigError,
     IncompleteCoverage,
     NotTerminated,
@@ -30,7 +31,7 @@ from .errors import (
     RatioUndefined,
     UnknownCheck,
 )
-from .forms import MonomialForm, order_drop_report, ratio_limit_report
+from .forms import ANTICHAIN_CAP, MonomialForm, order_drop_report, ratio_limit_report
 from .gallery import Scenario, replay_states
 from .monomials import extend_ideal
 from .sequence import SequenceState, argmin_word
@@ -227,7 +228,13 @@ def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
                 "reason": "directions only covered beyond the sweep cap",
                 "word_cap": cap,
             })
-        report = order_drop_report(dim, word[:covering_len], max_degree)
+        try:
+            report = order_drop_report(dim, word[:covering_len], max_degree)
+        except CensusTooLarge as exc:
+            return CheckResult("thm33a", "not applicable", {
+                "reason": str(exc),
+                "antichain_cap": ANTICHAIN_CAP,
+            })
         verdict = "pass" if report["all_drop"] and report["orders_monotone"] else "fail"
         return CheckResult("thm33a", verdict, {
             "mode": "full-coverage",
@@ -447,7 +454,8 @@ EXPLANATIONS = {
         "form strictly drops; if some coordinate never occurs, the form "
         "consisting of that single variable keeps order one forever.  The "
         "check sweeps all antichain supports up to a degree cap through "
-        "the scenario's word and verifies whichever branch applies."
+        "the scenario's word and verifies whichever branch applies; a "
+        "sweep with more antichains than its cap is not applicable."
     ),
     "prop344": (
         "Shape of the initial values under first-use ordering: listing the "

@@ -64,10 +64,14 @@ class NotTerminated(QuadseqError):
 
 
 class CensusTooLarge(QuadseqError):
-    """A valuation-ideal census would walk more monomials than its cap.
+    """An exhaustive census would exceed its cap: a valuation-ideal
+    staircase (``videals.CENSUS_CAP`` monomials) or the antichains of an
+    order-drop sweep (``forms.ANTICHAIN_CAP``).
 
-    ``estimate`` is the proven upper bound on the staircase size that
-    exceeded the cap; it is computed before any monomial is walked.
+    ``estimate`` is the size that exceeded the cap.  For a staircase it
+    is a proven upper bound, computed before any monomial is walked; for
+    the antichains it is the count reached when the enumeration stopped,
+    one past the cap, before any sweep table is built.
     """
 
     def __init__(self, message: str, estimate: int = 0):

@@ -368,6 +368,19 @@ def gen_dvr(d: int = 2, steps: int = 1000) -> Scenario:
 _FRACTION_POOL = [Fraction(n, d) for n in range(1, 6) for d in range(1, 5)]
 
 
+def diagonal_frame(coeffs: Sequence[Fraction]) -> ParameterFrame:
+    """The frame over ``RealBasis.default(d)``, d = len(coeffs), whose i-th
+    value is coeffs[i] times generator i."""
+    d = len(coeffs)
+    basis = RealBasis.default(d)
+    values = []
+    for i, c in enumerate(coeffs):
+        nums = [0] * d
+        nums[i] = c.numerator
+        values.append(ValueVector._raw(basis, tuple(nums), c.denominator))
+    return ParameterFrame(values)
+
+
 def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
     """Random frame c0, c1*sqrt(p1), ..., over distinct primes: argmin-driven.
 
@@ -375,33 +388,27 @@ def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
     generator, so no rational combination of distinct slots vanishes and
     every argmin is unique.
 
-    Draws are rejected until the values, sorted as a_1 < ... < a_d,
-    satisfy (j-2)*a_j < a_1 + ... + a_(j-1) for every j >= 3.  A draw
-    failing it has a top set of directions that is never stepped, from
-    step 0 on.  The condition does not rule out frames that lock: for
-    d >= 3 repeatedly stepping the minimum typically creates such a set
-    later (each of the 75 d >= 3 runs of the acceptance fixture has one
-    by step 50), after which the run stays inside a proper subset of the
-    directions and its running sum converges below the full ceiling.
+    Draws are rejected until ``SequenceState.idle_directions`` is empty
+    at step 0: sorted as a_1 < ... < a_d, the values satisfy
+    (j-2)*a_j < a_1 + ... + a_(j-1) for every j >= 3.  That does not
+    rule out frames that lock: for d >= 3 stepping the minimum typically
+    creates an idle set later (each of the 75 d >= 3 runs of the
+    acceptance fixture has one by step 16), after which the run stays
+    inside a proper subset of the directions and its running sum
+    converges below the full ceiling.
     """
     if not 2 <= d <= 6:
         raise ConfigError("dimension must be between 2 and 6")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     rng = random.Random(seed)
-    basis = RealBasis.default(d)
     while True:
-        coeffs = [rng.choice(_FRACTION_POOL) for _ in range(d)]
-        values = []
-        for i, c in enumerate(coeffs):
-            vec = [Fraction(0)] * d
-            vec[i] = c
-            values.append(basis.value(vec))
-        if prefix_dominance(sorted(values)):
+        frame = diagonal_frame([rng.choice(_FRACTION_POOL) for _ in range(d)])
+        if prefix_dominance(sorted(frame.values)):
             break
     return Scenario(
         name=f"random-d{d}-s{seed}",
-        frame=ParameterFrame(values),
+        frame=frame,
         mode="argmin",
         steps=steps,
         seed=seed,

@@ -122,13 +122,17 @@ def _check_direction(direction: int, dim: int) -> int:
     return direction
 
 
-def rewrite_monomial(m: Monomial, direction: int) -> Monomial:
-    """Image of a monomial under one step in ``direction`` (no order strip)."""
+def rewrite_monomial(m: Monomial, direction: int, count: int = 1) -> Monomial:
+    """Image of a monomial under ``count`` steps in ``direction`` (no order
+    strip).  A step sends m_w to |m| and keeps the other exponents, whose
+    sum |m| - m_w is therefore fixed, so a run of ``count`` steps sends m_w
+    to m_w + count * (|m| - m_w): closed form, whatever the count."""
     m = _validate_monomial(m)
     _check_direction(direction, len(m))
-    return tuple(
-        total_degree(m) if i == direction else e for i, e in enumerate(m)
-    )
+    if count < 0:
+        raise ValueError(f"step count must be >= 0, got {count}")
+    rest = total_degree(m) - m[direction]
+    return m[:direction] + (m[direction] + count * rest,) + m[direction + 1:]
 
 
 def rewrite_word(m: Monomial, word: Sequence[int]) -> Monomial:

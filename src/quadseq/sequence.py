@@ -21,7 +21,9 @@ and the quotient replay all go through one step kernel, ``_monomial``.
 
 Callers that need only the letters of an argmin run read them from
 ``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
-frame has shrunk below a rational bound.
+frame has shrunk below a rational bound, and
+``SequenceState.idle_directions`` that a set of directions is never
+stepped again.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     KilledDirectionUsed,
     NonPositiveValue,
 )
-from .monomials import MonomialIdeal, extend_ideal
+from .monomials import MonomialIdeal, rewrite_monomial
 from .values import RealBasis, ValueVector, _common_den
 
 DEFAULT_NAMES = ("x", "y", "z", "w", "v", "u")
@@ -478,6 +480,23 @@ class SequenceState:
         quarter = eps / 4
         return all(v.evaluate_interval(quarter)[1] < eps for v in self.frame_values)
 
+    def idle_directions(self) -> frozenset[int]:
+        """Directions that argmin stepping from this state never uses.
+
+        Sort the current values exactly as a_1 < ... < a_d.  If prefix
+        dominance first fails at j >= 3, that is (j-2)*a_j >= a_1 + ... +
+        a_(j-1), the directions at positions j and above are idle: while
+        only the lower set C steps, it runs its own argmin sequence, so
+        its step sum s stays below T_C/(|C|-1), the series bound of C (T_C
+        the current sum over C).  Each upper value minus s then stays
+        above the mean of C, so never becomes the minimum.  Empty when
+        dominance holds throughout, and always when dim == 2.
+        """
+        vals = self.frame_values
+        order = sorted(range(self.dim), key=vals.__getitem__)
+        k = _dominance_break([vals[i] for i in order])
+        return frozenset() if k is None else frozenset(order[k:])
+
     def starving_directions(self, window: int) -> set[str]:
         """Names absent from the last ``window`` direction-carrying steps.
 
@@ -502,20 +521,21 @@ class SequenceState:
 
         ``value`` compares the first step value with step n-1's; ``ideal``
         asks whether the extension of the maximal ideal along the first n
-        directions has order at least 2.  The two agree on argmin runs.
+        records has order at least 2, rewriting through each run-length
+        record in closed form, so a bulk run costs one rewrite per
+        generator.  The two agree on argmin runs.
         """
         if not 1 <= n <= self._n:
             raise IndexOutOfRange(f"prefix length {n} outside 1..{self._n}")
         if method == "value":
             return self.m_value(0).cmp(self.m_value(n - 1)) > 0
         if method == "ideal":
-            word: list[int] = []
+            gens = MonomialIdeal.maximal(self.dim).generators
             for rec in self._hist[:n]:
                 if rec.kind != "monomial":
                     raise ValueError("ideal route needs a monomial-only prefix")
-                word.extend([rec.direction] * rec.count)
-            ext = extend_ideal(MonomialIdeal.maximal(self.dim), word)
-            return ext.order() >= 2
+                gens = [rewrite_monomial(g, rec.direction, rec.count) for g in gens]
+            return MonomialIdeal(gens, dim=self.dim).order() >= 2
         raise ValueError(f"unknown method {method!r}")
 
     def first_use_order_report(self) -> dict:
@@ -599,12 +619,18 @@ def argmin_word(frame: ParameterFrame | Sequence[ValueVector]) -> Iterator[int]:
 
 def prefix_dominance(a: Sequence[ValueVector]) -> bool:
     """(j-2)*a_j < a_1 + ... + a_(j-1) for every j >= 3, in the given order."""
+    return _dominance_break(a) is None
+
+
+def _dominance_break(a: Sequence[ValueVector]) -> int | None:
+    """The first 0-based k >= 2 with (k-1)*a[k] >= a[0] + ... + a[k-1]
+    (prefix dominance failing at j = k + 1), or None."""
     prefix = None
-    for j in range(3, len(a) + 1):
-        prefix = a[0] + a[1] if prefix is None else prefix + a[j - 2]
-        if a[j - 1].scale(j - 2).cmp(prefix) >= 0:
-            return False
-    return True
+    for k in range(2, len(a)):
+        prefix = a[0] + a[1] if prefix is None else prefix + a[k - 1]
+        if a[k].scale(k - 1).cmp(prefix) >= 0:
+            return k
+    return None
 
 
 def _vec_total(vals: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -3,14 +3,17 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import quadseq
 from quadseq import cli, gallery
 from quadseq.checks import CheckResult, collect_artifacts
+from quadseq.forms import ANTICHAIN_CAP
 
 ALL_CHECKS = [
     "eq631", "bound63", "switching-witness", "thm33a", "prop344",
@@ -416,3 +419,36 @@ def test_rationals_serialized_as_strings(tmp_path):
 def test_verify_requires_all_flag():
     with pytest.raises(SystemExit):
         cli.main(["verify"])
+
+
+_THM33A_D4 = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from quadseq import cli
+start = time.perf_counter()
+code = cli.main(["run", "--config", sys.argv[1]])
+print(json.dumps({"code": code, "seconds": time.perf_counter() - start}),
+      file=sys.stderr)
+"""
+
+
+def test_thm33a_past_the_antichain_cap_is_not_applicable(tmp_path):
+    # the d = 4 sweep would table 2,154,533 antichains (1.3 GiB) and used to
+    # escape main as a numpy memory error, so the child runs under 2 GiB
+    cfg = tmp_path / "d4.json"
+    cfg.write_text(json.dumps({
+        "dimension": 4, "frame": ["1", "3/2", "7/4", "15/8"], "mode": "scripted",
+        "plan": [{"kind": "monomial", "direction": w} for w in range(4)],
+        "checks": ["thm33a"],
+    }))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadseq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _THM33A_D4, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    outcome = json.loads(proc.stderr.splitlines()[-1])
+    assert outcome["code"] == 0
+    assert outcome["seconds"] < 2.0
+    (result,) = json.loads(proc.stdout)["checks"]
+    assert result["verdict"] == "not applicable"
+    assert result["detail"]["antichain_cap"] == ANTICHAIN_CAP

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadseq.errors import AmbiguousDirection, NotTerminated, RatioUndefined
+from quadseq.errors import AmbiguousDirection, CensusTooLarge, NotTerminated, RatioUndefined
 from quadseq.forms import (
+    ANTICHAIN_CAP,
     MonomialForm,
     _antichain_columns,
     comparability_index,
@@ -49,6 +50,10 @@ def test_transform_form_example():
 def test_antichain_counts_frozen():
     assert len(enumerate_antichains(2, 3)) == 40
     assert len(enumerate_antichains(3, 3)) == 2496
+    # d = 4 has 2,154,533: the enumeration stops one past the cap
+    with pytest.raises(CensusTooLarge) as exc:
+        enumerate_antichains(4, 3)
+    assert exc.value.estimate == ANTICHAIN_CAP + 1
 
 
 @pytest.mark.parametrize("dim, max_degree", [(2, 3), (3, 2), (3, 3)])

@@ -208,3 +208,23 @@ def test_rewrite_along_refuses_bad_input():
         list(rewrite_along([(1, 0)], [0, -1]))
     with pytest.raises(EmptyGeneratorSet):
         list(rewrite_along([], [0]))
+
+
+@st.composite
+def _runs(draw):
+    d = draw(st.integers(1, 5))
+    m = draw(st.tuples(*[st.integers(0, 4)] * d))
+    return m, draw(st.integers(0, d - 1)), draw(st.integers(0, 8))
+
+
+@given(_runs())
+@settings(max_examples=150)
+def test_a_run_rewrites_in_closed_form(case):
+    # count letters w send m_w to m_w + count * (|m| - m_w)
+    m, w, count = case
+    assert rewrite_monomial(m, w, count) == rewrite_word(m, [w] * count)
+
+
+def test_rewrite_monomial_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="step count"):
+        rewrite_monomial((1, 0), 0, -1)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,14 @@ from quadseq.errors import (
     KilledDirectionUsed,
     NonPositiveValue,
 )
-from quadseq.sequence import ParameterFrame, SequenceState, StepRecord, argmin_word
+from quadseq.gallery import _FRACTION_POOL, diagonal_frame
+from quadseq.sequence import (
+    ParameterFrame,
+    SequenceState,
+    StepRecord,
+    argmin_word,
+    prefix_dominance,
+)
 from quadseq.values import RealBasis
 
 B2 = RealBasis.default(2)
@@ -163,6 +171,55 @@ def test_change_of_direction_both_routes():
         assert state.change_of_direction(n, "value") == state.change_of_direction(n, "ideal")
     with pytest.raises(IndexOutOfRange):
         state.change_of_direction(13)
+
+
+def test_change_of_direction_through_a_bulk_run_of_10_12_steps():
+    # the ideal route rewrites through a run-length record in closed form;
+    # letter by letter this run would take hours and an 8 TB word
+    count = 10**12
+    start = time.perf_counter()
+    frame = ParameterFrame([B2.rational(1), B2.rational(count + F(1, 2))])
+    state = SequenceState.from_frame(frame).run_in_direction(0, count)
+    state = state.step_in_direction(1)
+    routes = [(state.change_of_direction(n, "value"), state.change_of_direction(n, "ideal"))
+              for n in (1, 2)]
+    assert routes == [(False, False), (True, True)]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_idle_directions_is_where_prefix_dominance_breaks():
+    basis = RealBasis.default(1)
+
+    def idle(*values):
+        frame = ParameterFrame([basis.rational(q) for q in values])
+        return SequenceState.from_frame(frame).idle_directions()
+
+    assert idle(1, F(3, 2), F(7, 4)) == frozenset()
+    # sorted (1, 2, 3): 1*3 >= 1 + 2 at j = 3, whatever the input order
+    assert idle(3, 1, 2) == frozenset({0})
+    # the first break decides: 5 >= 1 + 2 already, so 20 is idle with it
+    assert idle(20, 1, 2, 5) == frozenset({0, 3})
+    # two directions both step, however far apart
+    assert idle(1, 10**9) == frozenset()
+
+
+_POOL_DRAWS = st.integers(2, 6).flatmap(
+    lambda d: st.lists(st.sampled_from(_FRACTION_POOL), min_size=d, max_size=d))
+
+
+@given(_POOL_DRAWS, st.integers(0, 30))
+# certifying on (j-1)*a_j, the mean of the lower set, steps direction 2 here
+@example(coeffs=[F(5, 2), F(1, 3), F(3, 2), F(1)], steps=9)
+@settings(max_examples=100, deadline=None)
+def test_idle_directions_are_never_stepped(coeffs, steps):
+    frame = diagonal_frame(coeffs)
+    state = SequenceState.from_frame(frame)
+    assert (not state.idle_directions()) == prefix_dominance(sorted(frame.values))
+    state, _ = run_argmin(state, steps)
+    idle = state.idle_directions()
+    assert len(coeffs) > 2 or not idle  # a pair is never certified
+    _, later = run_argmin(state, 300)
+    assert not idle & set(later)
 
 
 def test_first_use_order_report_frozen_example():
