@@ -12,7 +12,7 @@ Reports are canonical: the same config and seed produce byte-identical
 JSON.  Rationals are serialized as "num/den" strings, and every real
 value carries a rational enclosure of the configured width instead of a
 float.  Wall-clock timings never enter the report; --timings prints
-them to stderr.
+them to stderr, one line per phase (replay, trace, checks, json, csv).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import acceptance
 from .checks import (CheckResult, RunArtifacts, collect_artifacts, explain,
@@ -239,8 +240,9 @@ def build_trace(art: RunArtifacts, width: Fraction) -> list[dict]:
     Nothing is stepped.  E is the running sum of m * count, exact because
     a rescale adds its m to E as a monomial step does; an enclosure does
     not depend on the denominator a value is written over.  ``count`` is
-    an int, so the only Fractions built per record are the four reduced
-    endpoints of the two enclosures.
+    an int, so the only Fractions built per record are the reduced
+    endpoints of the two enclosures; a rational value's enclosure is one
+    point, returned as the same Fraction twice and formatted once.
     """
     final = art.final
     total = final.basis.zero()
@@ -249,14 +251,16 @@ def build_trace(art: RunArtifacts, width: Fraction) -> list[dict]:
         total = total + rec.m_value.scale(rec.count)
         m_lo, m_hi = rec.m_value.evaluate_interval(width)
         e_lo, e_hi = total.evaluate_interval(width)
+        m_lo_s = _frac_str(m_lo)
+        e_lo_s = _frac_str(e_lo)
         rows.append({
             "step": n,
             "kind": rec.kind,
             "dir": "" if rec.direction is None else final.names[rec.direction],
-            "m_lo": _frac_str(m_lo),
-            "m_hi": _frac_str(m_hi),
-            "E_lo": _frac_str(e_lo),
-            "E_hi": _frac_str(e_hi),
+            "m_lo": m_lo_s,
+            "m_hi": m_lo_s if m_hi is m_lo else _frac_str(m_hi),
+            "E_lo": e_lo_s,
+            "E_hi": e_lo_s if e_hi is e_lo else _frac_str(e_hi),
         })
     return rows
 
@@ -285,6 +289,37 @@ def build_report(scenario: Scenario, results: list[CheckResult],
         ],
         "trace": trace,
     }
+
+
+def report_json(report: dict) -> str:
+    """The text of ``json.dumps(report, indent=2, sort_keys=True) + "\n"``.
+
+    ``indent`` sends ``json.dumps`` through the pure-Python encoder, so the
+    trace, nearly all of a long report, is written here instead.  Its key
+    sorts last, so the rest of the report is encoded first and the rows
+    follow, each in the layout the encoder gives it: keys in sorted order
+    (``E_hi``, ``E_lo``, ``dir``, ``kind``, ``m_hi``, ``m_lo``, ``step``).
+    ``step`` is an int, ``kind`` is ``monomial`` or ``rescale`` and the
+    four bounds are ``num/den`` strings, so none of them needs escaping;
+    each distinct ``dir`` is escaped once, by the encoder's own function.
+    """
+    head = json.dumps({k: v for k, v in report.items() if k != "trace"},
+                      indent=2, sort_keys=True)
+    names: dict[str, str] = {}
+    rows = []
+    for row in report["trace"]:
+        name = row["dir"]
+        if name not in names:
+            names[name] = encode_basestring_ascii(name)
+        rows.append(f'    {{\n      "E_hi": "{row["E_hi"]}",\n'
+                    f'      "E_lo": "{row["E_lo"]}",\n'
+                    f'      "dir": {names[name]},\n'
+                    f'      "kind": "{row["kind"]}",\n'
+                    f'      "m_hi": "{row["m_hi"]}",\n'
+                    f'      "m_lo": "{row["m_lo"]}",\n'
+                    f'      "step": {row["step"]}\n    }}')
+    trace = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{head[:-2]},\n  "trace": {trace}\n}}\n'
 
 
 CSV_COLUMNS = ("step", "kind", "dir", "m_lo", "m_hi", "E_lo", "E_hi")
@@ -354,11 +389,13 @@ def cmd_run(args) -> int:
     if width <= 0:
         raise ConfigError("interval width must be positive")
 
+    laps = [("", time.perf_counter())]
     art = collect_artifacts(scenario)
+    laps.append(("replay", time.perf_counter()))
     trace = build_trace(art, width)
+    laps.append(("trace", time.perf_counter()))
     results = run_checks(art, check_ids, options)
-    report = build_report(scenario, results, trace, width, source)
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    laps.append(("checks", time.perf_counter()))
 
     json_path = output.get("json")
     csv_path = output.get("csv")
@@ -366,18 +403,23 @@ def cmd_run(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         json_path = os.path.join(args.out, json_path or "report.json")
         csv_path = os.path.join(args.out, csv_path or "trace.csv")
+    payload = report_json(build_report(scenario, results, trace, width, source))
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(payload)
         print(f"wrote {json_path}", file=sys.stderr)
     else:
         sys.stdout.write(payload)
+    laps.append(("json", time.perf_counter()))
     if csv_path:
         write_csv(csv_path, trace)
         print(f"wrote {csv_path}", file=sys.stderr)
+        laps.append(("csv", time.perf_counter()))
     for r in results:
         print(f"{r.check}: {r.verdict}", file=sys.stderr)
     if args.timings:
+        for (_, start), (phase, end) in zip(laps, laps[1:]):
+            print(f"  {phase} took {end - start:.3f}s", file=sys.stderr)
         print(f"run took {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0 if all(r.ok for r in results) else 1
 

@@ -421,14 +421,20 @@ class ValueVector:
         narrow enough.  Its width 2*err / (den * 2^bits) does not depend on
         s, and err (the sum of |n_i| over the irrational generators) does
         not depend on bits, so the precision is picked by an integer test
-        before the one fixpoint is evaluated.
+        before the one fixpoint is evaluated.  With no irrational part
+        (err = 0) the value is the rational point n_one / den, which is the
+        enclosure at any precision, so no fixpoint is evaluated at all.
         """
         max_width = _to_fraction(max_width)
-        if max_width <= 0:
+        if max_width.numerator <= 0:
             raise ValueError("interval width must be positive")
         basis = self.basis
         need = 2 * max_width.denominator * sum(
             abs(n) for n, g in zip(self._nums, basis.generators) if not g.is_rational)
+        if need == 0:
+            one = basis.one_index
+            q = Fraction(0 if one is None else self._nums[one], self._den)
+            return q, q
         bits = 64
         while need > max_width.numerator * (self._den << bits):
             bits <<= 1

@@ -452,3 +452,79 @@ def test_thm33a_past_the_antichain_cap_is_not_applicable(tmp_path):
     (result,) = json.loads(proc.stdout)["checks"]
     assert result["verdict"] == "not applicable"
     assert result["detail"]["antichain_cap"] == ANTICHAIN_CAP
+
+
+def _encoder_text(report):
+    """What ``json.dumps`` writes for ``report``: the reference for report.json."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("source", [
+    ["--preset", "random", "--steps", "40", "--seed", "6"],
+    ["--preset", "dvr", "--steps", "30"],
+    ["--preset", "gmr-7.13", "--steps", "12"],
+    ["--preset", "gmr-7.14", "--steps", "6"],
+    ["--preset", "shannon-4.18", "--steps", "12"],
+    ["--preset", "rr1", "--steps", "30"],
+], ids=lambda source: source[1])
+def test_report_json_is_the_encoders_text(tmp_path, source):
+    out = tmp_path / "r"
+    assert cli.main(["run", *source, "--checks", "all", "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    rep = json.loads(text)
+    assert rep["trace"]
+    assert text == _encoder_text(rep)
+
+
+# a quote, a backslash, a newline, a comma, a Latin-1 letter, a non-BMP letter
+_ESCAPED_NAMES = ['say "x"', "back\\slash,", "two\nlines é \U0001d52a"]
+
+
+def test_report_json_escapes_names_as_the_encoder(tmp_path, capsys):
+    cfg = tmp_path / "names.json"
+    cfg.write_text(json.dumps({
+        "dimension": 3, "frame": ["1", "3", "5"], "mode": "scripted",
+        "names": _ESCAPED_NAMES,
+        "plan": [{"kind": "monomial", "direction": 0},
+                 {"kind": "monomial", "direction": 0},
+                 {"kind": "rescale", "values": ["2", "1", "3/2"]},
+                 {"kind": "monomial", "direction": 1},
+                 {"kind": "monomial", "direction": 2}],
+    }))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    rep = json.loads(text)
+    assert [row["dir"] for row in rep["trace"]] == [
+        _ESCAPED_NAMES[0], _ESCAPED_NAMES[0], "", *_ESCAPED_NAMES[1:]]
+    assert text == _encoder_text(rep)
+    scenario = cli.scenario_from_config(json.loads(cfg.read_text()))
+    width = Fraction(1, 10**6)
+    report = cli.build_report(scenario, [], cli.build_trace(collect_artifacts(scenario), width),
+                              width, "inline")
+    assert cli.report_json(report) == _encoder_text(report)
+
+
+def test_report_json_of_an_empty_trace(tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"dimension": 2, "frame": ["1", "3/2"],
+                               "mode": "scripted", "plan": []}))
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    rep = json.loads(text)
+    assert rep["trace"] == []
+    assert text == _encoder_text(rep)
+    assert (out / "trace.csv").read_text() == ",".join(cli.CSV_COLUMNS) + "\n"
+
+
+def test_timings_name_each_phase_and_leave_the_report_alone(tmp_path, capsys):
+    args = ["run", "--preset", "gmr-7.13", "--steps", "8", "--checks", "all"]
+    assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "b"), "--timings"]) == 0
+    err = capsys.readouterr().err
+    phases = [line.split()[0] for line in err.splitlines() if line.startswith("  ")]
+    assert phases == ["replay", "trace", "checks", "json", "csv"]
+    assert "run took" in err
+    for name in ("report.json", "trace.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadseq.errors import BasisMismatch, IndeterminateComparison
-from quadseq.values import RealBasis, ValueVector, value_cmp
+from quadseq.values import RealBasis, SqrtGenerator, ValueVector, value_cmp
 
 getcontext().prec = 80
 
@@ -166,6 +166,33 @@ def test_interval_matches_the_doubling_loop(case):
     lo, hi = v.evaluate_interval(width)
     assert (lo, hi) == _interval_by_doubling(v, width)
     assert lo <= hi and hi - lo <= width
+
+
+UNIT_FREE = RealBasis([SqrtGenerator(2), SqrtGenerator(3)])
+
+
+def test_zero_over_a_unit_free_basis_is_the_point_zero():
+    lo, hi = UNIT_FREE.zero().evaluate_interval(F(1, 10**6))
+    assert (lo, hi) == (0, 0)
+    assert type(lo) is F and lo is hi
+    assert (lo, hi) == _interval_by_doubling(UNIT_FREE.zero(), F(1, 10**6))
+
+
+@pytest.mark.parametrize("q", [F(-1), F(-22, 7), F(-10**40 - 1, 3**50), F(-1, 10**30)])
+@pytest.mark.parametrize("width", [F(1, 10**40), F(3, 2)])
+def test_negative_rationals_are_points(q, width):
+    v = B3.value([q, 0, 0])
+    lo, hi = v.evaluate_interval(width)
+    assert lo == hi == q and lo is hi
+    assert (lo.numerator, lo.denominator) == (q.numerator, q.denominator)
+    assert (lo, hi) == _interval_by_doubling(v, width)
+
+
+@pytest.mark.parametrize("coeffs", [[F(-5, 3), F(2, 7)], [0, F(-10**20, 9)]])
+def test_unit_free_basis_matches_the_doubling_loop(coeffs):
+    v = UNIT_FREE.value(coeffs)
+    width = F(1, 10**9)
+    assert v.evaluate_interval(width) == _interval_by_doubling(v, width)
 
 
 def test_serialize_round_trip():
