@@ -6,6 +6,10 @@ returns a CriterionResult whose ``line()`` is the one-line verdict;
 ``run_all`` executes them in order.  The expensive shared fixture (one
 hundred argmin runs of ten thousand steps) is built once and cached.
 
+Criteria 1, 2, 8 and 9 aggregate verdicts of the check registry over
+their fixtures, so each of those properties is decided only by the code
+that ``quadseq run --checks`` runs.
+
 Criterion 2 fails by design of the world, not of the code: its collapse
 certificate asks every run's frame to shrink below 1e-6, but runs in
 three or more directions typically lock onto a proper subset of the
@@ -30,10 +34,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .checks import collect_artifacts
+from .checks import CheckResult, collect_artifacts, run_checks
 from .forms import MonomialForm, order_drop_report, ratio_limit_report
 from .gallery import (
     _FRACTION_POOL,
+    Scenario,
     diagonal_frame,
     gen_713,
     gen_714,
@@ -43,10 +48,10 @@ from .gallery import (
     gen_shannon_418,
     replay_states,
 )
-from .monomials import extend_ideal, monomial_value, rewrite_monomial
+from .monomials import monomial_value, rewrite_monomial
 from .sequence import ParameterFrame, SequenceState, argmin_word
 from .values import RealBasis
-from .videals import enumerate_values, tau_bound, videal_at, videal_chain
+from .videals import enumerate_values, videal_at, videal_chain
 
 
 @dataclass
@@ -69,52 +74,37 @@ RUN_DIMS = (2, 3, 4, 5)
 SEEDS_PER_DIM = 25
 RUN_STEPS = 10_000
 TINY = Fraction(1, 10**6)
-_CHECK_EVERY = 100
 
-
-@dataclass
-class _RunOutcome:
-    d: int
-    seed: int
-    conservation_ok: bool
-    ceiling_ok: bool
-    collapse_at: int | None
-    near_ceiling: bool
-
-
-_runs_cache: list[_RunOutcome] | None = None
+_runs_cache: dict[tuple[int, int], tuple[CheckResult, CheckResult, bool]] | None = None
 _runs_seconds: float = 0.0
 
 
-def shared_runs() -> list[_RunOutcome]:
+def shared_runs() -> dict[tuple[int, int], tuple[CheckResult, CheckResult, bool]]:
+    """The ``eq631`` and ``bound63`` results of each fixture run, keyed by
+    (d, seed), with whether the final running sum is certified to lie
+    within 1e-6*d/(d-1) of the ceiling.
+
+    The collapse certificate is read off the final state only.  Along
+    monomial steps no frame value ever grows (the stepped value stays,
+    the others drop by it), so the frame is below 1e-6 at some step
+    n <= 10^4 exactly when it is at step 10^4.  Only the results are
+    cached: the runs' histories of 10^4 records each would cost hundreds
+    of MB.
+    """
     global _runs_cache, _runs_seconds
     if _runs_cache is not None:
         return _runs_cache
     t0 = time.perf_counter()
-    out = []
+    out = {}
     for d in RUN_DIMS:
         tol = TINY * d / (d - 1)
         for seed in range(1, SEEDS_PER_DIM + 1):
-            sc = gen_random_independent(d, seed, steps=RUN_STEPS)
-            st = SequenceState.from_frame(sc.frame)
-            conservation = ceiling = True
-            collapse_at = None
-            near = False
-            for n in range(1, RUN_STEPS + 1):
-                st, _ = st.step_argmin()
-                if not st.conservation_check():
-                    conservation = False
-                if st.bound_gap_sign() < 0:
-                    ceiling = False
-                if (
-                    collapse_at is None
-                    and n % _CHECK_EVERY == 0
-                    and st.frame_below(TINY)
-                ):
-                    collapse_at = n
-                    gap = st.series_bound() - st.partial_sum
-                    near = gap.evaluate_interval(tol / 4)[1] < tol
-            out.append(_RunOutcome(d, seed, conservation, ceiling, collapse_at, near))
+            art = collect_artifacts(gen_random_independent(d, seed, steps=RUN_STEPS))
+            eq631, bound63 = run_checks(
+                art, ["eq631", "bound63"], {"small_threshold": TINY})
+            gap = art.final.series_bound() - art.final.partial_sum
+            near = gap.evaluate_interval(tol / 4)[1] < tol
+            out[d, seed] = (eq631, bound63, near)
     _runs_seconds = time.perf_counter() - t0
     _runs_cache = out
     return out
@@ -126,7 +116,7 @@ def shared_runs() -> list[_RunOutcome]:
 def criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
     runs = shared_runs()
-    bad = [(r.d, r.seed) for r in runs if not r.conservation_ok]
+    bad = [run for run, (eq631, _, _) in runs.items() if eq631.verdict != "pass"]
     ok = not bad and _runs_seconds < 60.0
     if bad:
         summary = f"conservation identity broke in runs {bad[:5]}"
@@ -145,16 +135,15 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     runs = shared_runs()
-    ceiling_bad = [(r.d, r.seed) for r in runs if not r.ceiling_ok]
-    certified = {
-        d: sum(
-            1 for r in runs if r.d == d and r.collapse_at is not None and r.near_ceiling
-        )
-        for d in RUN_DIMS
-    }
+    ceiling_bad = [run for run, (_, bound63, _) in runs.items()
+                   if bound63.verdict != "pass"]
     missing = [
-        (r.d, r.seed) for r in runs if r.collapse_at is None or not r.near_ceiling
+        run for run, (_, bound63, near) in runs.items()
+        if not (bound63.detail.get("frame_below_threshold") and near)
     ]
+    certified = {
+        d: SEEDS_PER_DIM - sum(1 for md, _ in missing if md == d) for d in RUN_DIMS
+    }
     ok = not ceiling_bad and not missing
     tally = ", ".join(f"d={d}: {certified[d]}/{SEEDS_PER_DIM}" for d in RUN_DIMS)
     summary = (
@@ -400,18 +389,11 @@ def criterion_8() -> CriterionResult:
     for d, seed in frames:
         rng = random.Random(8000 + 97 * d + seed)
         frame = diagonal_frame([rng.choice(_TIGHT_POOL) for _ in range(d)])
-        chain50 = videal_chain(frame, 50)
-        for a, b in zip(chain50, chain50[1:]):
-            descends = (
-                b["threshold"].cmp(a["threshold"]) > 0
-                and all(a["ideal"].contains(g) for g in b["ideal"].generators)
-                and a["ideal"] != b["ideal"]
-            )
-            if not descends:
-                problems.append((d, seed, "descent"))
-                break
-        if any(e["colength"] != 1 for e in chain50):
-            problems.append((d, seed, "colength"))
+        # independent values make the check demand colength 1 throughout
+        (res,) = run_checks(Scenario("criterion-8", frame, mode="argmin"),
+                            ["videal-chain"], {"chain_length": 50})
+        if res.verdict != "pass" or not res.detail["independent_values"]:
+            problems.append((d, seed, "first 50 ideals: no colength-1 descent"))
         monos = [m for m in itertools.product(range(6), repeat=d) if sum(m) <= 5]
         vals = frame.values
         maxv = vals[0]
@@ -451,18 +433,13 @@ def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
     basis = RealBasis.default(2)
     frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
-    word = list(itertools.islice(argmin_word(frame), 40))
+    sc = Scenario("criterion-9", frame, mode="argmin")
     bad = []
     prefixes = []
     for n in range(1, 21):
-        j = tau_bound(frame, n)
-        prefixes.append(j)
-        ideals = [e["ideal"] for e in videal_chain(frame, n)]
-        works = all(extend_ideal(i, word[:j]).is_principal for i in ideals)
-        minimal = j == 0 or not all(
-            extend_ideal(i, word[: j - 1]).is_principal for i in ideals
-        )
-        if not (works and minimal):
+        (res,) = run_checks(sc, ["tau-bound"], {"n_ideals": n})
+        prefixes.append(res.detail.get("prefix_length"))
+        if res.verdict != "pass":
             bad.append(n)
     ok = not bad
     summary = (

@@ -58,12 +58,9 @@ class RunArtifacts:
 
     scenario: Scenario
     final: SequenceState
-    conservation_all: bool
-    conservation_fail_step: int | None
-    bound_applicable: bool
-    bound_reason: str
-    bound_all: bool
-    bound_fail_step: int | None
+    conservation_fail_step: int | None  # None: the identity held at every record
+    bound_fail_step: int | None  # None: the ceiling held at every record
+    bound_reason: str  # why the ceiling does not apply; "" when it does
     boundary_sums: list[ValueVector]
 
 
@@ -101,15 +98,15 @@ def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
     has_rescale = scenario.mode == "scripted" and any(
         ps.kind == "rescale" for ps in scenario.plan
     )
-    bound_applicable = not has_rescale and scenario.frame.dim >= 2
-    bound_reason = (
-        "coordinate rescales re-seed the frame, so no single ceiling applies"
-        if has_rescale
-        else ""
-    )
-    conservation_all = True
+    if has_rescale:
+        bound_reason = (
+            "coordinate rescales re-seed the frame, so no single ceiling applies"
+        )
+    elif scenario.frame.dim < 2:
+        bound_reason = "the series bound needs at least two directions"
+    else:
+        bound_reason = ""
     conservation_fail = None
-    bound_all = True
     bound_fail = None
     boundaries = set(scenario.boundaries)
     boundary_sums: dict[int, ValueVector] = {}
@@ -118,11 +115,10 @@ def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
     if replay:
         try:
             for state in replay_states(scenario):
-                if conservation_all and not state.conservation_check():
-                    conservation_all = False
+                if conservation_fail is None and not state.conservation_check():
                     conservation_fail = n + 1
-                if bound_applicable and bound_all and state.bound_gap_sign() <= 0:
-                    bound_all = False
+                if (not bound_reason and bound_fail is None
+                        and state.bound_gap_sign() <= 0):
                     bound_fail = n + 1
                 n += 1
                 if n in boundaries:
@@ -132,12 +128,9 @@ def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
     return RunArtifacts(
         scenario=scenario,
         final=state,
-        conservation_all=conservation_all,
         conservation_fail_step=conservation_fail,
-        bound_applicable=bound_applicable,
-        bound_reason=bound_reason,
-        bound_all=bound_all if bound_applicable else False,
         bound_fail_step=bound_fail,
+        bound_reason=bound_reason,
         boundary_sums=[boundary_sums[b] for b in scenario.boundaries
                        if b in boundary_sums],
     )
@@ -148,14 +141,14 @@ def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
 
 def _check_conservation(art: RunArtifacts, options: dict) -> CheckResult:
     detail = {"records": art.final.step_count}
-    if art.conservation_all:
+    if art.conservation_fail_step is None:
         return CheckResult("eq631", "pass", detail)
     detail["first_failure_at"] = art.conservation_fail_step
     return CheckResult("eq631", "fail", detail)
 
 
 def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
-    if not art.bound_applicable:
+    if art.bound_reason:
         return CheckResult("bound63", "not applicable",
                            {"reason": art.bound_reason})
     final = art.final
@@ -174,7 +167,7 @@ def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
     if tail_small:
         d = final.dim
         detail["sum_within_of_bound"] = threshold * d / (d - 1)
-    if art.bound_all:
+    if art.bound_fail_step is None:
         return CheckResult("bound63", "pass", detail)
     detail["first_failure_at"] = art.bound_fail_step
     return CheckResult("bound63", "fail", detail)
@@ -444,7 +437,7 @@ EXPLANATIONS = {
     "switching-witness": (
         "Occupancy report for the recent past: for each window size it "
         "lists the directions that did not carry any of the last so-many "
-        "direction-carrying records.  A direction that starves in every "
+        "direction-carrying steps.  A direction that starves in every "
         "window is the classic witness that the sequence has locked onto "
         "a proper subset of the coordinates."
     ),

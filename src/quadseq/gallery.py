@@ -42,6 +42,13 @@ class TermGroup:
 
 @dataclass
 class Scenario:
+    """A frame with its step plan (or argmin budget) and known closed forms.
+
+    ``term_groups(k)`` streams the step values of the first k episodes as
+    (count, value) groups.  Only the divergent doubling plans gmr-7.13 and
+    gmr-7.14 carry one, for acceptance criterion 5's bracketing argument.
+    """
+
     name: str
     frame: ParameterFrame
     mode: str = "scripted"  # "scripted" | "argmin"
@@ -124,14 +131,6 @@ def gen_shannon_418(episodes: int = 20) -> Scenario:
     def law(k: int) -> Fraction:
         return Fraction(8, 3) * (1 - Fraction(1, 4) ** k)
 
-    def stream(k: int) -> Iterator[TermGroup]:
-        for n in range(k):
-            c = Fraction(1, 4) ** n
-            yield TermGroup(1, c)
-            yield TermGroup(1, c / 2)
-            yield TermGroup(1, c / 4)
-            yield TermGroup(1, c / 4)
-
     return Scenario(
         name="shannon-4.18",
         frame=_rat_frame(basis, [1, Fraction(3, 2), Fraction(7, 4)]),
@@ -139,7 +138,6 @@ def gen_shannon_418(episodes: int = 20) -> Scenario:
         boundaries=tuple(boundaries),
         sum_after_episodes=law,
         expected_limit=Fraction(8, 3),
-        term_groups=stream,
         notes="geometric episodes; sum -> 8/3",
     )
 
@@ -182,12 +180,6 @@ def gen_notunion_rr1(steps: int = 40, embed3d: bool = False) -> Scenario:
     def law(k: int) -> Fraction:
         return 3 - 3 * Fraction(1, 2) ** k
 
-    def stream(k: int) -> Iterator[TermGroup]:
-        for n in range(k):
-            c = Fraction(1, 2) ** n
-            yield TermGroup(1, c)
-            yield TermGroup(1, c / 2)
-
     values = [1, Fraction(3, 2)] + ([Fraction(4)] if embed3d else [])
     return Scenario(
         name="rr1",
@@ -196,7 +188,6 @@ def gen_notunion_rr1(steps: int = 40, embed3d: bool = False) -> Scenario:
         boundaries=tuple(boundaries),
         sum_after_episodes=law,
         expected_limit=Fraction(3),
-        term_groups=stream,
         notes="alternating pair; sum -> 3"
         + ("; spectator z never steps" if embed3d else ""),
     )
@@ -346,11 +337,6 @@ def gen_dvr(d: int = 2, steps: int = 1000) -> Scenario:
     def law(k: int) -> Fraction:
         return Fraction(2 * k)
 
-    def stream(k: int) -> Iterator[TermGroup]:
-        for _ in range(k):
-            yield TermGroup(1, Fraction(1))
-            yield TermGroup(1, Fraction(1))
-
     return Scenario(
         name="dvr",
         frame=ParameterFrame(staggered),
@@ -358,7 +344,6 @@ def gen_dvr(d: int = 2, steps: int = 1000) -> Scenario:
         boundaries=tuple(boundaries),
         sum_after_episodes=law,
         diverges=True,
-        term_groups=stream,
         notes="integer values; running sum equals the record count",
     )
 

@@ -500,7 +500,10 @@ class SequenceState:
     def starving_directions(self, window: int) -> set[str]:
         """Names absent from the last ``window`` direction-carrying steps.
 
-        A zero window is vacuous and reports nothing as starving.
+        Steps count as in ``direction_counts``: a monomial run with its
+        multiplicity, a rescale recorded with a ``direction`` once, so
+        the window may end inside a run.  A zero window is vacuous and
+        reports nothing as starving.
         """
         if window < 0:
             raise ValueError("window must be >= 0")
@@ -511,8 +514,8 @@ class SequenceState:
         for rec in reversed(self._hist[: self._n]):
             if rec.carries_direction:
                 seen.add(rec.direction)
-                remaining -= 1
-                if remaining == 0:
+                remaining -= rec.count
+                if remaining <= 0:
                     break
         return {self.names[i] for i in range(self.dim) if i not in seen}
 

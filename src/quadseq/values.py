@@ -110,9 +110,9 @@ def _generator_from_obj(obj) -> Generator:
 class RealBasis:
     """An ordered tuple of real generators over which values are expressed."""
 
-    __slots__ = ("generators", "max_bits", "_key", "_one_index")
+    __slots__ = ("generators", "_key", "_one_index")
 
-    def __init__(self, generators: Sequence[Generator], max_bits: int = DEFAULT_MAX_BITS):
+    def __init__(self, generators: Sequence[Generator]):
         gens = tuple(generators)
         if not gens:
             raise ValueError("basis needs at least one generator")
@@ -120,14 +120,13 @@ class RealBasis:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate basis generators")
         self.generators = gens
-        self.max_bits = max_bits
         self._key = tuple(keys)
         self._one_index = next(
             (i for i, g in enumerate(gens) if isinstance(g, OneGenerator)), None
         )
 
     @classmethod
-    def default(cls, size: int, max_bits: int = DEFAULT_MAX_BITS) -> "RealBasis":
+    def default(cls, size: int) -> "RealBasis":
         """1 followed by square roots of the first ``size - 1`` primes."""
         if size < 1:
             raise ValueError("basis size must be >= 1")
@@ -135,7 +134,7 @@ class RealBasis:
             raise ValueError("default basis supports at most 13 generators")
         gens: list[Generator] = [OneGenerator()]
         gens += [SqrtGenerator(p) for p in _SMALL_PRIMES[: size - 1]]
-        return cls(gens, max_bits=max_bits)
+        return cls(gens)
 
     @property
     def size(self) -> int:
@@ -158,8 +157,8 @@ class RealBasis:
         return [g.to_obj() for g in self.generators]
 
     @classmethod
-    def from_obj(cls, obj: Iterable, max_bits: int = DEFAULT_MAX_BITS) -> "RealBasis":
-        return cls([_generator_from_obj(o) for o in obj], max_bits=max_bits)
+    def from_obj(cls, obj: Iterable) -> "RealBasis":
+        return cls([_generator_from_obj(o) for o in obj])
 
     # -- construction helpers ------------------------------------------------
 
@@ -202,9 +201,9 @@ class RealBasis:
                     supported = False
             height = max(height, abs(n).bit_length())
         if not supported or k_irr == 0:
-            return self.max_bits
+            return DEFAULT_MAX_BITS
         formula = (1 << k_irr) * (height + 8 * k_irr + 16) + 64
-        return max(self.max_bits, min(formula, 1 << 22))
+        return max(DEFAULT_MAX_BITS, min(formula, 1 << 22))
 
     def _sign_of_combo(self, nums: Sequence[int]) -> int:
         """Sign of sum(nums[i] * generator[i]), exact: one fixpoint per

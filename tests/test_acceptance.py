@@ -26,6 +26,13 @@ def test_criterion_02_series_ceiling_and_collapse_certificate():
     _run(2)
 
 
+def test_criterion_02_tally_from_the_cached_fixture():
+    detail = acceptance.criterion_2().detail
+    assert detail["certified_by_dim"] == {2: 25, 3: 0, 4: 0, 5: 0}
+    assert len(detail["uncertified_runs"]) == 75
+    assert all(d >= 3 for d, _ in detail["uncertified_runs"])
+
+
 def test_criterion_03_geometric_episode_sums():
     _run(3)
 

@@ -21,7 +21,7 @@ from quadseq.gallery import (
     gen_random_independent,
     gen_shannon_418,
 )
-from quadseq.sequence import ParameterFrame
+from quadseq.sequence import ParameterFrame, SequenceState
 from quadseq.values import RealBasis
 
 REQUIRED_IDS = {
@@ -158,4 +158,20 @@ def test_artifacts_boundary_sums_align():
     sc = gen_713(episodes=5)
     art = collect_artifacts(sc)
     assert len(art.boundary_sums) == 5
-    assert art.conservation_all
+    assert art.conservation_fail_step is None
+
+
+def test_eq631_fails_from_the_first_broken_record(monkeypatch):
+    monkeypatch.setattr(SequenceState, "conservation_check",
+                        lambda self: self.step_count < 3)
+    (res,) = run_checks(gen_random_independent(3, 5, steps=10), ["eq631"])
+    assert res.verdict == "fail"
+    assert res.detail["first_failure_at"] == 3
+
+
+def test_bound63_fails_from_the_first_broken_record(monkeypatch):
+    monkeypatch.setattr(SequenceState, "bound_gap_sign",
+                        lambda self: 1 if self.step_count < 3 else 0)
+    (res,) = run_checks(gen_random_independent(3, 5, steps=10), ["bound63"])
+    assert res.verdict == "fail"
+    assert res.detail["first_failure_at"] == 3

@@ -373,6 +373,18 @@ def test_inline_argmin_config(tmp_path):
     assert len(rep["trace"]) == 12
 
 
+def test_bound63_names_the_missing_second_direction(tmp_path):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"dimension": 1, "frame": ["1"], "steps": 3}))
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg), "--checks", "bound63",
+                     "--out", str(out)]) == 0
+    (check,) = json.loads((out / "report.json").read_text())["checks"]
+    assert check["verdict"] == "not applicable"
+    assert check["detail"] == {
+        "reason": "the series bound needs at least two directions"}
+
+
 def test_thm33a_passes_on_a_long_scripted_word(tmp_path, capsys):
     # frame (1, phi, just below phi^2): x and y alternate as the least
     # values for 100 steps, then z is least; orders on this word pass 2^40

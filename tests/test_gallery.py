@@ -111,6 +111,20 @@ def test_rr1_embed3d_starves_z():
     assert "z" in final.starving_directions(1)
 
 
+def test_713_bulk_and_single_steps_starve_alike():
+    sc = gen_713(episodes=4)
+    single = Scenario(sc.name, sc.frame, plan=tuple(
+        PlanStep("monomial", ps.direction) if ps.kind == "monomial" else ps
+        for ps in sc.plan for _ in range(ps.count)
+    ))
+    bulk, steps = run_scenario(sc), run_scenario(single)
+    assert bulk.step_count < steps.step_count
+    total = sum(bulk.direction_counts().values())
+    assert total == sum(steps.direction_counts().values())
+    for window in range(total + 2):
+        assert bulk.starving_directions(window) == steps.starving_directions(window)
+
+
 def test_rr1_embed3d_spectator_value():
     sc = gen_notunion_rr1(steps=24, embed3d=True)
     states = list(replay_states(sc))

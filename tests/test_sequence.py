@@ -161,6 +161,18 @@ def test_starving_directions_empty_for_active_run():
         state.starving_directions(-1)
 
 
+def test_starving_directions_count_steps_inside_a_bulk_run():
+    frame = ParameterFrame([B2.rational(1), B2.rational(F(11, 10))])
+    start = SequenceState.from_frame(frame).step_in_direction(0)
+    bulk = start.run_in_direction(1, 3)
+    single = start
+    for _ in range(3):
+        single = single.step_in_direction(1)
+    assert bulk.starving_directions(2) == single.starving_directions(2) == {"x"}
+    for window in range(6):
+        assert bulk.starving_directions(window) == single.starving_directions(window)
+
+
 def test_change_of_direction_both_routes():
     state, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 12)
     assert state.change_of_direction(1, "value") is False
