@@ -36,7 +36,7 @@ from .gallery import Scenario, replay_states
 from .monomials import extend_ideal
 from .sequence import SequenceState, argmin_word
 from .values import ValueVector
-from .videals import short_chain_report, tau_bound, videal_chain
+from .videals import ideal_value, short_chain_report, tau_bound, videal_chain
 
 SMALL_FRAME_THRESHOLD = Fraction(1, 10**6)
 
@@ -286,18 +286,25 @@ def _check_videal_chain(art: RunArtifacts, options: dict) -> CheckResult:
         and all(a["ideal"].contains(g) for g in b["ideal"].generators)
         for a, b in zip(chain, chain[1:])
     )
+    # each threshold is the value of its ideal, re-derived from the
+    # generators independently of the census that built the chain
+    mismatch = next((e["n"] for e in chain
+                     if e["threshold"] != ideal_value(frame, e["ideal"])), None)
     colengths = [e["colength"] for e in chain]
     independent = frame_rationally_independent(frame.values)
-    ok = descending and all(c >= 1 for c in colengths)
+    ok = descending and mismatch is None and all(c >= 1 for c in colengths)
     if independent:
         ok = ok and all(c == 1 for c in colengths)
-    return CheckResult("videal-chain", "pass" if ok else "fail", {
+    detail = {
         "chain_length": length,
         "descending": descending,
         "colengths": colengths,
         "independent_values": independent,
         "thresholds": [e["threshold"] for e in chain],
-    })
+    }
+    if mismatch is not None:
+        detail["threshold_mismatch_at"] = mismatch
+    return CheckResult("videal-chain", "pass" if ok else "fail", detail)
 
 
 def _check_tau_bound(art: RunArtifacts, options: dict) -> CheckResult:

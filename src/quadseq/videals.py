@@ -17,6 +17,13 @@ staircase, read off the frontier: a corner's predecessor along its
 last variable is inside, so the walk has already rejected it.  Before
 walking, the census bounds its own size from the fixpoints and refuses
 with ``CensusTooLarge`` above ``CENSUS_CAP``.  No float is involved.
+
+One census serves every rung of ``videal_chain``: its sorted levels
+are the thresholds and their sizes the colengths.  Only the
+``videal-chain`` check re-derives each ideal's value (``ideal_value``),
+so criterion 8's thresholds-equal-``enumerate_values`` comparison reads
+the same census; its independent evidence is that check and the
+``videal_at`` contractions.
 """
 
 from __future__ import annotations
@@ -28,13 +35,7 @@ import operator
 from typing import Sequence, Union
 
 from .errors import CensusTooLarge, NotTerminated
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    extend_ideal,
-    least_value,
-    monomial_value,
-)
+from .monomials import Monomial, MonomialIdeal, extend_ideal, least_value, monomial_value
 from .sequence import ParameterFrame, argmin_word
 from .values import ValueVector, _common_den
 
@@ -52,10 +53,6 @@ def _values_of(frame: FrameLike) -> tuple[ValueVector, ...]:
     if not isinstance(frame, ParameterFrame):
         frame = ParameterFrame(tuple(frame))  # refuses values <= 0
     return frame.values
-
-
-def _plus(m: Monomial, i: int) -> Monomial:
-    return m[:i] + (m[i] + 1,) + m[i + 1:]
 
 
 class _FrameData:
@@ -82,23 +79,6 @@ class _FrameData:
     def value(self, row: tuple) -> ValueVector:
         return ValueVector._raw(self.basis, row, self.den)
 
-    def side(self, t: ValueVector):
-        """The exact sign of v - t, as a function of v's (row, s, err)."""
-        t._check_basis(self)  # self carries the frame's basis like a value
-        td, tn, den = t._den, t._nums, self.den
-        ts, terr = self.basis._eval_fixpoint(tn, self.bits)
-        ts, terr = ts * den, terr * den
-        sign = self.basis._sign_of_combo
-
-        def side(row, s, err) -> int:
-            # a approximates 2^bits * den * td * (v - t) to within e
-            a, e = s * td - ts, err * td + terr
-            if abs(a) > e:
-                return 1 if a > 0 else -1
-            return sign(tuple(r * td - n * den for r, n in zip(row, tn)))
-
-        return side
-
     def size_bound(self, t: ValueVector) -> int:
         """An upper bound on the number of monomials with v(m) <= t.
 
@@ -124,31 +104,50 @@ class _FrameData:
 
         Breadth first, so each m - x_j comes before m.  A monomial is
         reached only from m minus its last variable, and a child outside
-        prunes its subtree, since every value is positive.  Raises
-        CensusTooLarge, before walking, when ``size_bound(t)`` exceeds
-        ``CENSUS_CAP``.
+        prunes its subtree, since every value is positive.  A child's
+        fixpoint settles it unless it ties with the threshold's; its exact
+        row is built only when it is kept or tied, and only a tie calls
+        exact sign refinement.  Raises BasisMismatch for a threshold over
+        another basis and then, before walking, CensusTooLarge when
+        ``size_bound(t)`` exceeds ``CENSUS_CAP``.
         """
-        side = self.side(t)
+        t._check_basis(self)  # self carries the frame's basis like a value
         bound = self.size_bound(t)
         if bound > CENSUS_CAP:
             raise CensusTooLarge(
                 f"census under the threshold may hold {bound} monomials, "
                 f"above the cap of {CENSUS_CAP}", estimate=bound)
-        limit = 0 if strict else 1
+        # on the scale 2^bits * den * td, a node's fixpoint a = s * td - ts
+        # approximates v - t to within e = err * td + terr
+        td, den, sign = t._den, self.den, self.basis._sign_of_combo
+        ts, terr = self.basis._eval_fixpoint(t._nums, self.bits)
+        ts, terr = ts * den, terr * den
+        tn = tuple(n * den for n in t._nums)
+        # per variable i: (i, row_i, s_i, err_i) and s_i, err_i on that scale
+        steps = [(i, row, s, e, s * td, e * td)
+                 for i, (row, (s, e)) in enumerate(zip(self.rows, self.fix))]
+        limit = 0 if strict else 1  # keep a node when sign(v - t) < limit
         root = ((0,) * self.dim, (0,) * self.basis.size, 0, 0)
-        out, starts = ([root], [0]) if side(*root[1:]) < limit else ([], [])
+        # the root's value is 0, so its sign is -sign(t)
+        keep = ts > terr or (ts >= -terr and -sign(tn) < limit)
+        out, starts = ([root], [0]) if keep else ([], [])
         rejected = []
         k = 0
         while k < len(out):
             m, row, s, err = out[k]
-            for i in range(starts[k], self.dim):
-                child = (_plus(m, i), tuple(map(operator.add, row, self.rows[i])),
-                         s + self.fix[i][0], err + self.fix[i][1])
-                if side(*child[1:]) < limit:
-                    out.append(child)
+            a0, e0 = s * td - ts, err * td + terr
+            for i, irow, si, ei, sit, eit in steps[starts[k]:]:
+                a, e = a0 + sit, e0 + eit
+                child = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if a > e:
+                    rejected.append(child)
+                    continue
+                crow = tuple(map(operator.add, row, irow))
+                if a < -e or sign(tuple(r * td - n for r, n in zip(crow, tn))) < limit:
+                    out.append((child, crow, s + si, err + ei))
                     starts.append(i)
                 else:
-                    rejected.append(child[0])
+                    rejected.append(child)
             k += 1
         return out, rejected
 
@@ -205,7 +204,7 @@ def _absorb(inside: set, corners: set, m: Monomial) -> None:
     corners.discard(m)
     inside.add(m)
     for i in range(len(m)):
-        c = _plus(m, i)
+        c = m[:i] + (m[i] + 1,) + m[i + 1:]
         if all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside for j, e in enumerate(c)):
             corners.add(c)
 
@@ -265,28 +264,23 @@ def videal_chain(frame: FrameLike, count: int) -> list[dict]:
     Entry n carries the ideal, its threshold t_n (the value of the
     ideal), and the number of monomials sitting exactly at t_n — the
     colength of the step down to the next ideal.  One census serves
-    every rung: the staircase {v <= t_n} grows level by level, and its
-    corners generate the next ideal, whose value is t_{n+1}.
+    every rung: t_n is its n-th level and the colength that level's
+    size, and the corners of the levels below generate the ideal.  Only
+    the ``videal-chain`` check re-derives t_n, with ``ideal_value``;
+    criterion 8's comparison with ``enumerate_values`` reads this census.
     """
     if count <= 0:
         return []
     data = _FrameData(frame)
-    levels = data.ladder_levels(count)
     inside: set = set()
     corners = {(0,) * data.dim}
-    ideal, t = MonomialIdeal._raw(corners, data.dim), data.basis.zero()
-    out, k = [], 0
-    for n in range(count):
-        side, colength = data.side(t), 0
-        while k < len(levels) and (at := side(*levels[k][:3])) <= 0:
-            for m in levels[k][3]:
-                _absorb(inside, corners, m)
-            colength = len(levels[k][3]) if at == 0 else 0
-            k += 1
-        out.append({"n": n, "ideal": ideal, "threshold": t, "colength": colength})
+    out = []
+    for n, (row, _, _, monos) in enumerate(data.ladder_levels(count)[:count]):
+        out.append({"n": n, "ideal": MonomialIdeal._raw(corners, data.dim),
+                    "threshold": data.value(row), "colength": len(monos)})
         if n + 1 < count:
-            ideal = MonomialIdeal._raw(corners, data.dim)
-            t = ideal_value(frame, ideal)
+            for m in monos:
+                _absorb(inside, corners, m)
     return out
 
 

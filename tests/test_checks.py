@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quadseq import checks
 from quadseq.checks import (
     CHECKS,
     collect_artifacts,
@@ -175,3 +176,25 @@ def test_bound63_fails_from_the_first_broken_record(monkeypatch):
     (res,) = run_checks(gen_random_independent(3, 5, steps=10), ["bound63"])
     assert res.verdict == "fail"
     assert res.detail["first_failure_at"] == 3
+
+
+def test_videal_chain_fails_on_a_threshold_that_is_not_the_ideal_value(monkeypatch):
+    sc = gen_random_independent(3, 5, steps=10)
+    (res,) = run_checks(sc, ["videal-chain"])
+    assert res.verdict == "pass"
+    assert set(res.detail) == {"chain_length", "descending", "colengths",
+                               "independent_values", "thresholds"}
+    chain_of = checks.videal_chain
+
+    def shifted(frame, count):
+        # t_3 halfway to t_4: still strictly ascending, colengths intact
+        chain = chain_of(frame, count)
+        chain[3]["threshold"] = (chain[3]["threshold"] + chain[4]["threshold"]).scale(F(1, 2))
+        return chain
+
+    monkeypatch.setattr(checks, "videal_chain", shifted)
+    (res,) = run_checks(sc, ["videal-chain"])
+    assert res.verdict == "fail"
+    assert res.detail["descending"] is True
+    assert res.detail["colengths"] == [1] * 12
+    assert res.detail["threshold_mismatch_at"] == 3

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there, and
+every private helper of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,27 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = set(_imported(tree)) - used - _exported(tree)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_private_helper_is_used():
+    # a private module-level function must be named somewhere in the
+    # package, and a method of a private class read as an attribute
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions) and _private(node.name) and node.name not in names:
+                dead.append(f"{module}: {node.name}")
+            elif isinstance(node, ast.ClassDef) and _private(node.name):
+                dead += [f"{module}: {node.name}.{item.name}" for item in node.body
+                         if isinstance(item, functions) and not item.name.startswith("__")
+                         and item.name not in attrs]
+    assert not dead, f"unused private helpers: {dead}"

@@ -475,6 +475,53 @@ def test_frontier_corners_match_the_absorb_oracle(vals, data):
         assert census.size_bound(t) >= len(census.below(t, strict=False)[0])
 
 
+def old_recursion_chain(vals, count):
+    """The chain as videal_chain built it before reading the census
+    levels: I_0 = R and t_0 = 0, then I_{n+1} = {v > t_n}, generated by
+    its corners, and t_{n+1} = ideal_value(I_{n+1}).  Corners and
+    colengths come from a brute count over a covering box."""
+    frame, d = ParameterFrame(vals), len(vals)
+    ideal, t, out = MonomialIdeal([(0,) * d]), vals[0].basis.zero(), []
+    for _ in range(count):
+        side = {m: monomial_value(vals, m).cmp(t) for m in _box(vals, t, True)}
+        out.append((ideal, t, sum(s == 0 for s in side.values())))
+        ideal = MonomialIdeal([
+            m for m, s in side.items()
+            if s > 0 and all(e == 0 or side[m[:j] + (e - 1,) + m[j + 1:]] <= 0
+                             for j, e in enumerate(m))])
+        t = ideal_value(frame, ideal)
+    return out
+
+
+@given(census_frames(), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_chain_matches_the_old_recursion(vals, count):
+    chain = videal_chain(ParameterFrame(vals), count)
+    assert [(e["ideal"], e["threshold"], e["colength"]) for e in chain] == \
+        old_recursion_chain(vals, count)
+
+
+B1 = RealBasis.default(1)
+
+
+def test_dependent_frame_chains_frozen():
+    # frozen from the recursion above; dependent values give colengths > 1
+    chain = videal_chain(ParameterFrame([B1.rational(1), B1.rational(F(3, 2))]), 8)
+    assert [e["threshold"].coeffs[0] for e in chain] == [
+        F(0), F(1), F(3, 2), F(2), F(5, 2), F(3), F(7, 2), F(4)]
+    assert [e["colength"] for e in chain] == [1, 1, 1, 1, 1, 2, 1, 2]
+    assert [e["ideal"].generators for e in chain] == [
+        ((0, 0),), ((0, 1), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (1, 1), (2, 0)),
+        ((0, 2), (1, 1), (3, 0)), ((0, 2), (2, 1), (3, 0)),
+        ((0, 3), (1, 2), (2, 1), (4, 0)), ((0, 3), (1, 2), (3, 1), (4, 0))]
+    chain = videal_chain(ParameterFrame([B1.rational(1), B1.rational(1)]), 5)
+    assert [e["threshold"].coeffs[0] for e in chain] == [F(0), F(1), F(2), F(3), F(4)]
+    assert [e["colength"] for e in chain] == [1, 2, 3, 4, 5]
+    # {v >= n} is the n-th power of the maximal ideal
+    assert [e["ideal"].generators for e in chain] == [
+        tuple((i, n - i) for i in range(n + 1)) for n in range(5)]
+
+
 def test_threshold_over_another_basis_is_refused():
     # (1, sqrt2) numerators zipped against a (1, sqrt2, sqrt3) threshold
     # used to drop the sqrt3 part and return the unit ideal
