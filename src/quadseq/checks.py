@@ -33,7 +33,7 @@ from .errors import (
 )
 from .forms import ANTICHAIN_CAP, MonomialForm, order_drop_report, ratio_limit_report
 from .gallery import Scenario, replay_states
-from .monomials import extend_ideal
+from .monomials import MonomialIdeal, extend_ideal, monomial_value
 from .sequence import SequenceState, argmin_word
 from .values import ValueVector
 from .videals import ideal_value, short_chain_report, tau_bound, videal_chain
@@ -290,9 +290,14 @@ def _check_videal_chain(art: RunArtifacts, options: dict) -> CheckResult:
     # generators independently of the census that built the chain
     mismatch = next((e["n"] for e in chain
                      if e["threshold"] != ideal_value(frame, e["ideal"])), None)
+    # and ideal_{n+1} holds every monomial above t_n, so no attained
+    # value between t_n and t_{n+1} is skipped
+    skipped = next((a["n"] for a, b in zip(chain, chain[1:])
+                    if _outside_reaches_above(frame, b["ideal"], a["threshold"])), None)
     colengths = [e["colength"] for e in chain]
     independent = frame_rationally_independent(frame.values)
-    ok = descending and mismatch is None and all(c >= 1 for c in colengths)
+    ok = (descending and mismatch is None and skipped is None
+          and all(c >= 1 for c in colengths))
     if independent:
         ok = ok and all(c == 1 for c in colengths)
     detail = {
@@ -304,7 +309,29 @@ def _check_videal_chain(art: RunArtifacts, options: dict) -> CheckResult:
     }
     if mismatch is not None:
         detail["threshold_mismatch_at"] = mismatch
+    if skipped is not None:
+        detail["skipped_value_at"] = skipped
     return CheckResult("videal-chain", "pass" if ok else "fail", detail)
+
+
+def _outside_reaches_above(frame, ideal: MonomialIdeal, t: ValueVector) -> bool:
+    """Whether some monomial outside ``ideal`` has value above ``t``.
+
+    Breadth first from the unit through the monomials outside the ideal,
+    each reached from itself minus its last variable.  The walk stops at
+    the first monomial valued above t, so it ends even when the outside
+    is infinite: only finitely many monomials have value <= t.
+    """
+    unit = (0,) * frame.dim
+    queue = [] if ideal.contains(unit) else [(unit, 0)]
+    for m, last in queue:
+        if monomial_value(frame.values, m).cmp(t) > 0:
+            return True
+        for i in range(last, frame.dim):
+            child = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if not ideal.contains(child):
+                queue.append((child, i))
+    return False
 
 
 def _check_tau_bound(art: RunArtifacts, options: dict) -> CheckResult:

@@ -77,10 +77,7 @@ def replay_states(scenario: Scenario) -> Iterator[SequenceState]:
         return
     for ps in scenario.plan:
         if ps.kind == "monomial":
-            if ps.count == 1:
-                state = state.step_in_direction(ps.direction)
-            else:
-                state = state.run_in_direction(ps.direction, ps.count)
+            state = state.run_in_direction(ps.direction, ps.count)
         elif ps.kind == "rescale":
             state = state.rescale(ps.new_values, ps.direction)
         else:  # pragma: no cover

@@ -15,9 +15,11 @@ state carries small fixed-point "shadow" mantissas with rigorous error
 bounds; comparisons are decided by the shadows whenever the gap exceeds
 the accumulated error and fall back to full sign refinement otherwise,
 so a 10^4-step run costs fractions of a second without ever trusting a
-float.  A state decides once whether its shadows are still precise
-enough, refreshing them if not.  Argmin, scripted and run-length steps
-and the quotient replay all go through one step kernel, ``_monomial``.
+float.  Every state is born with settled shadows: ``from_frame`` and
+``_spawn`` keep the ones a state inherits while they are precise enough
+and refresh them otherwise, so nothing checks them later.  Argmin,
+scripted and run-length steps and the quotient replay all go through
+one step kernel, ``_monomial``.
 
 Callers that need only the letters of an argmin run read them from
 ``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
@@ -114,7 +116,7 @@ class SequenceState:
         "basis", "names", "dim",
         "_den", "_vals", "_E", "_n", "_hist", "_counts",
         "_seg_E0", "_seg_sum0", "_rescaled", "_sum0", "_frame0",
-        "_sh", "_sherr", "_shscale", "_slack_sh", "_slack_err", "_shok",
+        "_sh", "_sherr", "_shscale", "_slack_sh", "_slack_err",
     )
 
     # -- construction --------------------------------------------------------
@@ -141,16 +143,12 @@ class SequenceState:
         st._sum0 = st._seg_sum0
         st._frame0 = frame.values
         st._sh = None
-        st._sherr = None
-        st._shscale = 0
-        st._slack_sh = None
-        st._slack_err = 0
-        st._shok = False
-        st._ensure_shadows()
+        st._settle()
         return st
 
-    def _spawn(self, vals, den, E, record, counts, seg_E0, seg_sum0,
-               rescaled, sh, sherr, shscale, slack_sh, slack_err) -> "SequenceState":
+    def _spawn(self, vals, den, E, record, counts, seg_E0, seg_sum0, rescaled,
+               sh=None, sherr=None, shscale=0, slack_sh=None, slack_err=0) -> "SequenceState":
+        """The successor state; ``sh=None`` starts a segment without shadows."""
         st = object.__new__(SequenceState)
         st.basis = self.basis
         st.names = self.names
@@ -175,7 +173,7 @@ class SequenceState:
         st._shscale = shscale
         st._slack_sh = slack_sh
         st._slack_err = slack_err
-        st._shok = False
+        st._settle()
         return st
 
     # -- shadow machinery ----------------------------------------------------
@@ -191,27 +189,26 @@ class SequenceState:
         sh = tuple(self._shadow_eval(v, T) for v in self._vals)
         return sh, (2,) * self.dim
 
-    def _ensure_shadows(self):
-        """The state's shadows, validated (or refreshed) once per state."""
-        sh, errs, T = self._sh, self._sherr, self._shscale
-        if self._shok:
-            return sh, errs, T
-        if sh is not None and min(sh) >= (1 << _SH_MIN) and max(errs) <= _SH_ERR_MAX:
-            self._shok = True
-            return sh, errs, T
+    def _settle(self):
+        """Keep the shadows while every one clears the floor 2^_SH_MIN and
+        no error exceeds _SH_ERR_MAX; refresh them otherwise.
+
+        A segment start has no shadows and begins at T = _SH_TARGET plus
+        the bit length of the denominator.  Each round that leaves a shadow
+        under the floor raises T, doubling it while the smallest shadow is
+        0 or 1, so a value near 2^-k settles in O(log k) rounds.
+        """
+        sh = self._sh
         if sh is None:
-            # probe the magnitude of the smallest value
-            bits = 128
-            while True:
-                probes = [self.basis._eval_fixpoint(v, bits) for v in self._vals]
-                if all(abs(s) - e > (1 << 66) for s, e in probes):
-                    break
-                bits *= 2
-            smallest = min(abs(s) for s, _ in probes)
-            T = _SH_TARGET + (bits - smallest.bit_length()) + (self._den.bit_length() - 1)
+            T = _SH_TARGET + self._den.bit_length()
+        elif min(sh) >= (1 << _SH_MIN) and max(self._sherr) <= _SH_ERR_MAX:
+            return
+        else:
+            T = self._shscale
         while True:
             if sh is not None:
-                T += max(64, _SH_TARGET - max(min(sh), 1).bit_length())
+                low = min(sh)
+                T = 2 * T if low <= 1 else T + max(64, _SH_TARGET - low.bit_length())
             sh, errs = self._fresh_shadows(T)
             if min(sh) >= (1 << _SH_MIN):
                 break
@@ -221,8 +218,6 @@ class SequenceState:
             gap = tuple(s0 - d1 * e for s0, e in zip(self._sum0, self._E))
             self._slack_sh = self._shadow_eval(gap, T)
             self._slack_err = 2
-        self._shok = True
-        return sh, errs, T
 
     def _cmp_exact(self, i: int, j: int) -> int:
         vi, vj = self._vals[i], self._vals[j]
@@ -280,7 +275,7 @@ class SequenceState:
     def _argmin(self, unique: bool) -> int:
         """Index of the smallest value, lowest index on a tie; a tie raises
         AmbiguousDirection when ``unique``."""
-        sh, errs, _ = self._ensure_shadows()
+        sh, errs = self._sh, self._sherr
         shm = min(sh)
         mi = sh.index(shm)
         errm = errs[mi]
@@ -326,7 +321,7 @@ class SequenceState:
             )
 
     def _monomial(self, mi: int, count: int, checked: bool) -> "SequenceState":
-        sh, errs, T = self._ensure_shadows()
+        sh, errs = self._sh, self._sherr
         vm = self._vals[mi]
         cvm = vm if count == 1 else tuple(count * b for b in vm)
         shm, errm = sh[mi], errs[mi]
@@ -374,7 +369,7 @@ class SequenceState:
             slack_sh, slack_err = None, 0
         return self._spawn(vals, self._den, E, record, counts,
                            self._seg_E0, self._seg_sum0, self._rescaled,
-                           new_sh, new_err, T, slack_sh, slack_err)
+                           new_sh, new_err, self._shscale, slack_sh, slack_err)
 
     def current_min(self) -> tuple[int, ValueVector]:
         """Index and value of a minimal frame entry (ties resolved to lowest index)."""
@@ -414,11 +409,7 @@ class SequenceState:
         counts = list(self._counts)
         if direction is not None:
             counts[direction] += 1
-        st = self._spawn(vals, den, E, record, counts,
-                         E, _vec_total(vals), True,
-                         None, None, 0, None, 0)
-        st._ensure_shadows()
-        return st
+        return self._spawn(vals, den, E, record, counts, E, _vec_total(vals), True)
 
     # -- invariants and reports ----------------------------------------------
 
@@ -454,7 +445,6 @@ class SequenceState:
         # the gap equals sum(frame)/(d-1) whenever the conservation identity
         # holds, so its shadow lives at the frame scale and is maintained
         # incrementally alongside the frame shadows
-        self._ensure_shadows()
         if self._slack_sh > self._slack_err:
             return 1
         if self._slack_sh < -self._slack_err:
@@ -471,10 +461,9 @@ class SequenceState:
         so the answer is that of ``evaluate_interval(eps / 4)[1] < eps``
         for every value.
         """
-        sh, errs, t = self._ensure_shadows()
         if any(
-            (s - e) * eps.denominator >= (1 << t) * eps.numerator
-            for s, e in zip(sh, errs)
+            (s - e) * eps.denominator >= (1 << self._shscale) * eps.numerator
+            for s, e in zip(self._sh, self._sherr)
         ):
             return False
         quarter = eps / 4
@@ -598,7 +587,7 @@ class SequenceState:
                 )
             if rec.kind == "monomial":
                 proj = keep.index(rec.direction)
-                st = st._monomial(proj, rec.count, checked=False)
+                st = st.run_in_direction(proj, rec.count)
             else:
                 st = st.rescale(
                     tuple(rec.new_values[i] for i in keep),

@@ -79,8 +79,9 @@ class _FrameData:
     def value(self, row: tuple) -> ValueVector:
         return ValueVector._raw(self.basis, row, self.den)
 
-    def size_bound(self, t: ValueVector) -> int:
-        """An upper bound on the number of monomials with v(m) <= t.
+    def size_bound(self, t: ValueVector, ts: int, terr: int) -> int:
+        """An upper bound on the number of monomials with v(m) <= t, given
+        the threshold's fixpoint (ts, terr) at ``bits``.
 
         Only variables with v_i <= t can occur; A holds them, and any
         variable the fixpoints cannot place above t.  The unit cubes
@@ -90,7 +91,6 @@ class _FrameData:
         is an integer bound from the fixpoints, on the scale
         2^bits * den * t's denominator.
         """
-        ts, terr = self.basis._eval_fixpoint(t._nums, self.bits)
         top = (ts + terr) * self.den
         lows = [(s - e) * t._den for s, e in self.fix]
         active = [i for i, low in enumerate(lows) if low <= top]
@@ -109,10 +109,11 @@ class _FrameData:
         row is built only when it is kept or tied, and only a tie calls
         exact sign refinement.  Raises BasisMismatch for a threshold over
         another basis and then, before walking, CensusTooLarge when
-        ``size_bound(t)`` exceeds ``CENSUS_CAP``.
+        ``size_bound`` exceeds ``CENSUS_CAP``.
         """
         t._check_basis(self)  # self carries the frame's basis like a value
-        bound = self.size_bound(t)
+        ts, terr = self.basis._eval_fixpoint(t._nums, self.bits)
+        bound = self.size_bound(t, ts, terr)
         if bound > CENSUS_CAP:
             raise CensusTooLarge(
                 f"census under the threshold may hold {bound} monomials, "
@@ -120,7 +121,6 @@ class _FrameData:
         # on the scale 2^bits * den * td, a node's fixpoint a = s * td - ts
         # approximates v - t to within e = err * td + terr
         td, den, sign = t._den, self.den, self.basis._sign_of_combo
-        ts, terr = self.basis._eval_fixpoint(t._nums, self.bits)
         ts, terr = ts * den, terr * den
         tn = tuple(n * den for n in t._nums)
         # per variable i: (i, row_i, s_i, err_i) and s_i, err_i on that scale

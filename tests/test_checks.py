@@ -198,3 +198,25 @@ def test_videal_chain_fails_on_a_threshold_that_is_not_the_ideal_value(monkeypat
     assert res.detail["descending"] is True
     assert res.detail["colengths"] == [1] * 12
     assert res.detail["threshold_mismatch_at"] == 3
+
+
+def test_videal_chain_fails_on_a_chain_that_skips_an_attained_value(monkeypatch):
+    sc = gen_random_independent(3, 5, steps=10)
+    chain_of = checks.videal_chain
+
+    def skipping(frame, count):
+        # drop rung 3 and renumber: still descending, every threshold the
+        # value of its ideal, but t_3 is attained and missing
+        chain = chain_of(frame, count + 1)
+        del chain[3]
+        for n, entry in enumerate(chain):
+            entry["n"] = n
+        return chain
+
+    monkeypatch.setattr(checks, "videal_chain", skipping)
+    (res,) = run_checks(sc, ["videal-chain"])
+    assert res.verdict == "fail"
+    assert res.detail["descending"] is True
+    assert res.detail["colengths"] == [1] * 12
+    assert "threshold_mismatch_at" not in res.detail
+    assert res.detail["skipped_value_at"] == 2

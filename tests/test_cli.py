@@ -385,6 +385,20 @@ def test_bound63_names_the_missing_second_direction(tmp_path):
         "reason": "the series bound needs at least two directions"}
 
 
+def test_a_frame_near_two_to_the_200_runs_every_check(tmp_path, capsys):
+    # 2^200 and 2^199*sqrt2: the shadow scale of such a segment start
+    # stays positive, so frame_below certifies without a negative shift
+    big = 2 ** 200
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"dimension": 2,
+                               "frame": [str(big), ["0", str(big // 2)]],
+                               "steps": 20}))
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg), "--checks", "all",
+                     "--out", str(out)]) == 0
+    assert "bound63: pass" in capsys.readouterr().err
+
+
 def test_thm33a_passes_on_a_long_scripted_word(tmp_path, capsys):
     # frame (1, phi, just below phi^2): x and y alternate as the least
     # values for 100 steps, then z is least; orders on this word pass 2^40

@@ -1,5 +1,5 @@
 """Source hygiene: every name a package module imports is used there, and
-every private helper of the package is used somewhere in it."""
+every private helper and every slot of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -20,20 +20,21 @@ def _imported(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
-def _exported(tree):
-    for node in tree.body:
+def _literal(body, name):
+    """The literal assigned to ``name`` among the statements ``body``, or ()."""
+    for node in body:
         if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                and any(isinstance(t, ast.Name) and t.id == name
                         for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
+            return ast.literal_eval(node.value)
+    return ()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    unused = set(_imported(tree)) - used - _exported(tree)
+    unused = set(_imported(tree)) - used - set(_literal(tree.body, "__all__"))
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
 
 
@@ -41,10 +42,14 @@ def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
+def _trees():
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+
+
 def test_every_private_helper_is_used():
     # a private module-level function must be named somewhere in the
     # package, and a method of a private class read as an attribute
-    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    trees = _trees()
     nodes = [n for tree in trees.values() for n in ast.walk(tree)]
     names = {n.id for n in nodes if isinstance(n, ast.Name)}
     attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
@@ -59,3 +64,15 @@ def test_every_private_helper_is_used():
                          if isinstance(item, functions) and not item.name.startswith("__")
                          and item.name not in attrs]
     assert not dead, f"unused private helpers: {dead}"
+
+
+def test_every_slot_is_read():
+    # a slot that is only ever written holds state nothing consults
+    trees = _trees()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    dead = [f"{module}: {node.name}.{slot}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for slot in _literal(node.body, "__slots__") if slot not in read]
+    assert not dead, f"slots never read: {dead}"

@@ -19,6 +19,8 @@ from quadseq.errors import (
 )
 from quadseq.gallery import _FRACTION_POOL, diagonal_frame
 from quadseq.sequence import (
+    _SH_ERR_MAX,
+    _SH_MIN,
     ParameterFrame,
     SequenceState,
     StepRecord,
@@ -278,24 +280,28 @@ def test_quotient_drops_spectator_direction():
         state.quotient_sequence(0)
 
 
+def _settled(state):
+    """The state's own shadows clear the floor and the error cap."""
+    return min(state._sh) >= 1 << _SH_MIN and max(state._sherr) <= _SH_ERR_MAX
+
+
 def test_history_branches_do_not_interfere():
     state = SequenceState.from_frame(frame_1_sqrt2())
     a = state.step_in_direction(0)
+    assert _settled(a)
     b, _ = a.step_argmin()  # extends the shared buffer with a y-step
+    assert _settled(b)
     c = a.rescale((B2.rational(1), B2.rational(2)))  # sibling branch
+    assert _settled(c)
     assert len(b.history) == len(c.history) == 2
     assert b.history[0] == c.history[0]
     assert b.history[1].kind == "monomial" and b.history[1].direction == 1
     assert c.history[1].kind == "rescale"
-    # shadow validity is decided per state: a settled its own, b has not yet,
-    # and the rescale sibling c rebuilt fresh shadows at its own scale
-    assert a._shok and not b._shok
-    assert c._shok and c._sherr == (2, 2)
+    # the rescale sibling c was born with fresh shadows at its own scale
+    assert c._sherr == (2, 2)
     assert c._sh == c._fresh_shadows(c._shscale)[0]
-    b.step_argmin()
-    assert b._shok  # b settled its own after its sibling did
     d = a.rescale((B2.value([0, 1]), B2.rational(3)))
-    assert d._shok and d._sherr == (2, 2)
+    assert _settled(d) and d._sherr == (2, 2)
     for branch in (b, d):
         fresh = SequenceState.from_frame(branch.frame_values)
         assert run_argmin(branch, 20)[1] == run_argmin(fresh, 20)[1]
@@ -398,12 +404,15 @@ _BIG = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
 
 @st.composite
 def _big_values(draw, d):
-    """d positive values over the default basis of size d, heights up to 10^12."""
+    """d positive values over the default basis of size d, heights up to
+    10^12, all scaled by one power of two 2^k with |k| <= 3000."""
     basis = RealBasis.default(d)
+    scale = F(2) ** draw(st.integers(-3000, 3000))
     values = []
     for _ in range(d):
         v = basis.value(draw(st.lists(_BIG, min_size=d, max_size=d)))
-        values.append(v if v.sign() > 0 else -v if v.sign() < 0 else basis.rational(1))
+        v = v if v.sign() > 0 else -v if v.sign() < 0 else basis.rational(1)
+        values.append(v.scale(scale))
     return values
 
 
@@ -523,8 +532,34 @@ def test_long_runs_refresh_the_shadows_once_per_state(monkeypatch):
         states.append(state)
     assert refreshed[0] == 0
     assert any(n > 0 for n in refreshed), "300 steps never refreshed the shadows"
-    # every state settled its shadows once: asking again rebuilds nothing
+    assert len(set(refreshed)) == len(refreshed)
+    # every state was born settled: settling it again rebuilds nothing
     before = len(refreshed)
-    for s in states[:-1]:
-        assert s._ensure_shadows()[0] is s._sh
+    for s in states:
+        sh = s._sh
+        s._settle()
+        assert s._sh is sh
     assert len(refreshed) == before
+
+
+def test_a_value_near_two_to_the_minus_2000_settles_in_few_rounds(monkeypatch):
+    # p - q*sqrt2 = (sqrt2 - 1)^1600, about 2^-2035, with a denominator of
+    # 1: the first scale leaves its shadow at 0, and doubling the scale
+    # reaches the floor in six rounds where adding 119 bits would take 17
+    p, q = 1, 0
+    for _ in range(1600):
+        p, q = p + 2 * q, p + q
+    real = SequenceState._fresh_shadows
+    rounds = []
+
+    def counting(self, T):
+        rounds.append(T)
+        return real(self, T)
+
+    monkeypatch.setattr(SequenceState, "_fresh_shadows", counting)
+    frame = [B2.rational(1), B2.value([p, -q])]
+    state = SequenceState.from_frame(frame)
+    assert _settled(state)
+    assert len(rounds) <= 6
+    oracle = _Oracle(frame)
+    _argmin_phase(state, oracle, 5)

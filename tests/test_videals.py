@@ -472,7 +472,8 @@ def test_frontier_corners_match_the_absorb_oracle(vals, data):
         for strict in (False, True):
             assert videal_at(frame, t, strict) == absorb_ideal(frame, t, strict)
         # the cap rests on this bound being an upper one
-        assert census.size_bound(t) >= len(census.below(t, strict=False)[0])
+        fix = census.basis._eval_fixpoint(t._nums, census.bits)
+        assert census.size_bound(t, *fix) >= len(census.below(t, strict=False)[0])
 
 
 def old_recursion_chain(vals, count):
