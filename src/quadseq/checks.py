@@ -85,15 +85,11 @@ def frame_rationally_independent(values: Sequence[ValueVector]) -> bool:
     return rank == len(rows)
 
 
-def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
+def collect_artifacts(scenario: Scenario) -> RunArtifacts:
     """Gather per-step facts in one replay; ``final.history`` keeps every record.
 
     A record that cannot be taken raises ConfigError naming its index,
     chained from the stepping error.
-
-    With ``replay=False`` no step is taken: the artifacts describe the
-    initial state and the per-step fields hold vacuously.  Checks that
-    look only at the frame use this to skip the replay entirely.
     """
     has_rescale = scenario.mode == "scripted" and any(
         ps.kind == "rescale" for ps in scenario.plan
@@ -112,19 +108,18 @@ def collect_artifacts(scenario: Scenario, replay: bool = True) -> RunArtifacts:
     boundary_sums: dict[int, ValueVector] = {}
     n = 0  # records completed, so record n + 1 is the one in progress
     state = SequenceState.from_frame(scenario.frame)
-    if replay:
-        try:
-            for state in replay_states(scenario):
-                if conservation_fail is None and not state.conservation_check():
-                    conservation_fail = n + 1
-                if (not bound_reason and bound_fail is None
-                        and state.bound_gap_sign() <= 0):
-                    bound_fail = n + 1
-                n += 1
-                if n in boundaries:
-                    boundary_sums[n] = state.partial_sum
-        except QuadseqError as exc:
-            raise ConfigError(f"scenario failed at record {n + 1}: {exc}") from exc
+    try:
+        for state in replay_states(scenario):
+            if conservation_fail is None and not state.conservation_check():
+                conservation_fail = n + 1
+            if (not bound_reason and bound_fail is None
+                    and state.bound_gap_sign() <= 0):
+                bound_fail = n + 1
+            n += 1
+            if n in boundaries:
+                boundary_sums[n] = state.partial_sum
+    except QuadseqError as exc:
+        raise ConfigError(f"scenario failed at record {n + 1}: {exc}") from exc
     return RunArtifacts(
         scenario=scenario,
         final=state,
@@ -549,15 +544,14 @@ def explain(check: str) -> str:
     return EXPLANATIONS[check]
 
 
-# checks that only look at the frame; requesting nothing else skips the replay
-FRAME_ONLY_CHECKS = {"ratio-limit", "videal-chain", "tau-bound", "remark4175"}
-
-
 def run_checks(target: Scenario | RunArtifacts, check_ids: Sequence[str],
                options: dict | None = None) -> list[CheckResult]:
     """Run each requested check (deduplicated, in order) on one replay: the
-    given artifacts, or a replay of the scenario made here (none at all when
-    every requested check looks only at the frame)."""
+    given artifacts, or a replay of the scenario made here.
+
+    The replay is made whichever checks are requested, so a scenario whose
+    plan cannot be stepped raises ConfigError naming the record, even when
+    every requested check looks only at the frame."""
     options = options or {}
     ordered: list[str] = []
     for cid in check_ids:
@@ -565,9 +559,5 @@ def run_checks(target: Scenario | RunArtifacts, check_ids: Sequence[str],
             raise UnknownCheck(cid)
         if cid not in ordered:
             ordered.append(cid)
-    if isinstance(target, RunArtifacts):
-        art = target
-    else:
-        needs_replay = any(cid not in FRAME_ONLY_CHECKS for cid in ordered)
-        art = collect_artifacts(target, replay=needs_replay)
+    art = target if isinstance(target, RunArtifacts) else collect_artifacts(target)
     return [CHECKS[cid](art, options) for cid in ordered]

@@ -11,15 +11,15 @@ moment — is recorded with each step.
 
 Stepping is exact.  Internally every frame value is an integer
 coefficient vector over the basis with one shared denominator, and each
-state carries small fixed-point "shadow" mantissas with rigorous error
+state carries the integer shadows of ``values`` with rigorous error
 bounds; comparisons are decided by the shadows whenever the gap exceeds
 the accumulated error and fall back to full sign refinement otherwise,
 so a 10^4-step run costs fractions of a second without ever trusting a
 float.  Every state is born with settled shadows: ``from_frame`` and
 ``_spawn`` keep the ones a state inherits while they are precise enough
-and refresh them otherwise, so nothing checks them later.  Argmin,
-scripted and run-length steps and the quotient replay all go through
-one step kernel, ``_monomial``.
+and take fresh ones from ``values.settled_shadows`` otherwise, so
+nothing checks them later.  Argmin, scripted and run-length steps and
+the quotient replay all go through one step kernel, ``_monomial``.
 
 Callers that need only the letters of an argmin run read them from
 ``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
@@ -44,14 +44,12 @@ from .errors import (
     NonPositiveValue,
 )
 from .monomials import MonomialIdeal, rewrite_monomial
-from .values import RealBasis, ValueVector, _common_den
+from .values import _SH_MIN, RealBasis, ValueVector, _common_den, settled_shadows, shadow
 
 DEFAULT_NAMES = ("x", "y", "z", "w", "v", "u")
 
-# shadow tuning: mantissa size after a refresh, the floor that triggers
-# one, and the largest tolerated accumulated error (all in bits / ulps)
-_SH_TARGET = 120
-_SH_MIN = 76
+# the largest accumulated shadow error a state keeps before it refreshes
+# its shadows (ulps of the scale)
 _SH_ERR_MAX = 1 << 34
 
 
@@ -114,8 +112,8 @@ class SequenceState:
 
     __slots__ = (
         "basis", "names", "dim",
-        "_den", "_vals", "_E", "_n", "_hist", "_counts",
-        "_seg_E0", "_seg_sum0", "_rescaled", "_sum0", "_frame0",
+        "_den", "_vals", "_E", "_n", "_hist",
+        "_seg_total", "_rescaled", "_frame0",
         "_sh", "_sherr", "_shscale", "_slack_sh", "_slack_err",
     )
 
@@ -136,19 +134,17 @@ class SequenceState:
         st._E = (0,) * frame.basis.size
         st._n = 0
         st._hist = []
-        st._counts = (0,) * frame.dim
-        st._seg_E0 = st._E
-        st._seg_sum0 = _vec_total(nums)
+        st._seg_total = _vec_total(nums)
         st._rescaled = False
-        st._sum0 = st._seg_sum0
         st._frame0 = frame.values
         st._sh = None
         st._settle()
         return st
 
-    def _spawn(self, vals, den, E, record, counts, seg_E0, seg_sum0, rescaled,
-               sh=None, sherr=None, shscale=0, slack_sh=None, slack_err=0) -> "SequenceState":
-        """The successor state; ``sh=None`` starts a segment without shadows."""
+    def _spawn(self, vals, den, E, record, sh=None, sherr=None, shscale=0,
+               slack_sh=None, slack_err=0) -> "SequenceState":
+        """The successor state; a rescale ``record`` starts a segment, which
+        begins without shadows (``sh=None``)."""
         st = object.__new__(SequenceState)
         st.basis = self.basis
         st.names = self.names
@@ -162,11 +158,13 @@ class SequenceState:
         else:  # a sibling successor already extended the shared history
             st._hist = self._hist[: self._n] + [record]
         st._n = self._n + 1
-        st._counts = counts
-        st._seg_E0 = seg_E0
-        st._seg_sum0 = seg_sum0
-        st._rescaled = rescaled
-        st._sum0 = self._sum0
+        if record.kind == "rescale":
+            d1 = self.dim - 1
+            st._seg_total = tuple(d1 * e + t for e, t in zip(E, _vec_total(vals)))
+            st._rescaled = True
+        else:
+            st._seg_total = self._seg_total
+            st._rescaled = self._rescaled
         st._frame0 = self._frame0
         st._sh = sh
         st._sherr = sherr
@@ -178,45 +176,21 @@ class SequenceState:
 
     # -- shadow machinery ----------------------------------------------------
 
-    def _shadow_eval(self, vec, T: int) -> int:
-        """Mantissa m with |m - value * 2^T| <= 2, value = vec/den over the basis."""
-        height = sum(abs(c) for c in vec)
-        bits = max(64, T + height.bit_length() + 70)
-        s, _err = self.basis._eval_fixpoint(vec, bits)
-        return s // (self._den << (bits - T))
-
-    def _fresh_shadows(self, T: int):
-        sh = tuple(self._shadow_eval(v, T) for v in self._vals)
-        return sh, (2,) * self.dim
-
     def _settle(self):
         """Keep the shadows while every one clears the floor 2^_SH_MIN and
-        no error exceeds _SH_ERR_MAX; refresh them otherwise.
-
-        A segment start has no shadows and begins at T = _SH_TARGET plus
-        the bit length of the denominator.  Each round that leaves a shadow
-        under the floor raises T, doubling it while the smallest shadow is
-        0 or 1, so a value near 2^-k settles in O(log k) rounds.
-        """
+        no error exceeds _SH_ERR_MAX; take settled ones from
+        ``values.settled_shadows`` otherwise, from scratch at a segment
+        start and above the current scale after that."""
         sh = self._sh
-        if sh is None:
-            T = _SH_TARGET + self._den.bit_length()
-        elif min(sh) >= (1 << _SH_MIN) and max(self._sherr) <= _SH_ERR_MAX:
+        if sh is not None and min(sh) >= (1 << _SH_MIN) and max(self._sherr) <= _SH_ERR_MAX:
             return
-        else:
-            T = self._shscale
-        while True:
-            if sh is not None:
-                low = min(sh)
-                T = 2 * T if low <= 1 else T + max(64, _SH_TARGET - low.bit_length())
-            sh, errs = self._fresh_shadows(T)
-            if min(sh) >= (1 << _SH_MIN):
-                break
-        self._sh, self._sherr, self._shscale = sh, errs, T
+        T = None if sh is None else self._shscale
+        T, self._sh = settled_shadows(self.basis, self._vals, self._den, T, sh)
+        self._sherr, self._shscale = (2,) * self.dim, T
         if not self._rescaled:
             d1 = self.dim - 1
-            gap = tuple(s0 - d1 * e for s0, e in zip(self._sum0, self._E))
-            self._slack_sh = self._shadow_eval(gap, T)
+            gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._E))
+            self._slack_sh = shadow(self.basis, gap, self._den, T)
             self._slack_err = 2
 
     def _cmp_exact(self, i: int, j: int) -> int:
@@ -232,13 +206,6 @@ class SequenceState:
     @property
     def history(self) -> tuple[StepRecord, ...]:
         return tuple(self._hist[: self._n])
-
-    @property
-    def frame(self) -> ParameterFrame:
-        return ParameterFrame(
-            tuple(ValueVector._raw(self.basis, v, self._den) for v in self._vals),
-            self.names,
-        )
 
     @property
     def frame_values(self) -> tuple[ValueVector, ...]:
@@ -268,7 +235,11 @@ class SequenceState:
         Monomial runs count with multiplicity; a rescale recorded with a
         ``direction`` counts once for that direction.
         """
-        return {name: c for name, c in zip(self.names, self._counts)}
+        counts = [0] * self.dim
+        for rec in self._hist[: self._n]:
+            if rec.carries_direction:
+                counts[rec.direction] += rec.count
+        return dict(zip(self.names, counts))
 
     # -- stepping ------------------------------------------------------------
 
@@ -304,8 +275,7 @@ class SequenceState:
 
     def step_in_direction(self, direction: int) -> "SequenceState":
         """One scripted monomial step; the direction's value must be minimal."""
-        self._check_dir(direction)
-        return self._monomial(direction, 1, checked=False)
+        return self.run_in_direction(direction, 1)
 
     def run_in_direction(self, direction: int, count: int) -> "SequenceState":
         """``count`` consecutive monomial steps in one direction, applied in bulk."""
@@ -356,8 +326,6 @@ class SequenceState:
         new_sh[mi] = shm
         new_err = [e + cerrm + 1 for e in errs]
         new_err[mi] = errm
-        counts = list(self._counts)
-        counts[mi] += count
         E = tuple(map(operator.add, self._E, cvm))
         record = StepRecord("monomial", mi,
                             ValueVector._raw(self.basis, vm, self._den), count)
@@ -367,8 +335,7 @@ class SequenceState:
             slack_err = self._slack_err + d1 * cerrm + 1
         else:
             slack_sh, slack_err = None, 0
-        return self._spawn(vals, self._den, E, record, counts,
-                           self._seg_E0, self._seg_sum0, self._rescaled,
+        return self._spawn(vals, self._den, E, record,
                            new_sh, new_err, self._shscale, slack_sh, slack_err)
 
     def current_min(self) -> tuple[int, ValueVector]:
@@ -406,25 +373,21 @@ class SequenceState:
             m_value=m,
             new_values=tuple(new_values),
         )
-        counts = list(self._counts)
-        if direction is not None:
-            counts[direction] += 1
-        return self._spawn(vals, den, E, record, counts, E, _vec_total(vals), True)
+        return self._spawn(vals, den, E, record)
 
     # -- invariants and reports ----------------------------------------------
 
     def conservation_check(self) -> bool:
-        """(dim-1) * (E - E_seg) + sum(frame) - sum(frame_seg) == 0, exactly.
+        """(dim-1) * E + sum(frame) == (dim-1) * E_seg + sum(frame_seg), exactly.
 
         ``seg`` marks the start of the current rescale-free segment; the
         identity holds within every such segment regardless of which
-        directions were stepped.
+        directions were stepped.  The frame is summed afresh here.
         """
         d1 = self.dim - 1
         return all(
-            d1 * (e - e0) + t - t0 == 0
-            for e, e0, t, t0 in zip(self._E, self._seg_E0,
-                                    map(sum, zip(*self._vals)), self._seg_sum0)
+            d1 * e + t == c
+            for e, t, c in zip(self._E, map(sum, zip(*self._vals)), self._seg_total)
         )
 
     def series_bound(self) -> ValueVector:
@@ -450,7 +413,7 @@ class SequenceState:
         if self._slack_sh < -self._slack_err:
             return -1
         d1 = self.dim - 1
-        gap = tuple(s - d1 * e for s, e in zip(self._sum0, self._E))
+        gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._E))
         return self.basis._sign_of_combo(gap)
 
     def frame_below(self, eps: Fraction) -> bool:

@@ -14,6 +14,13 @@ denote the real number zero, and the refinement loop raises
 
 Equality of two values is equality of coefficient vectors, which is finer
 than equality of the denoted reals exactly when the basis is dependent.
+
+Code that compares many values first tries their integer shadows: at a
+scale T, the shadow of a value is an integer within 2 of the value times
+2^T (``shadow``), and ``settled_shadows`` raises T until the shadows of
+a set of positive values all clear 2^_SH_MIN.  Stepping and the
+valuation-ideal census both take their shadows from here; a comparison
+whose gap the shadows' error covers goes to exact sign refinement.
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ Rational = Union[int, Fraction, str]
 
 #: floor of the precision cap used by sign refinement (bits)
 DEFAULT_MAX_BITS = 4096
+
+# shadow tuning: the mantissa size a fresh scale aims at, and the floor
+# every settled shadow clears (bits)
+_SH_TARGET = 120
+_SH_MIN = 76
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -207,7 +219,8 @@ class RealBasis:
 
     def _sign_of_combo(self, nums: Sequence[int]) -> int:
         """Sign of sum(nums[i] * generator[i]), exact: one fixpoint per
-        round at doubling precision, capped only if 64 bits do not decide."""
+        round at doubling precision, the last round at the cap itself
+        (computed only if 64 bits do not decide)."""
         bits = 64
         cap = None
         while True:
@@ -220,13 +233,13 @@ class RealBasis:
                 return 0
             if cap is None:
                 cap = self._effective_cap(nums)
-            bits <<= 1
-            if bits > cap:
+            if bits >= cap:
                 raise IndeterminateComparison(
                     f"sign undecided at {cap} bits; basis generators are "
                     "likely rationally dependent",
                     bits=cap,
                 )
+            bits = min(bits << 1, cap)
 
     def _eval_fixpoint(self, nums: Sequence[int], bits: int) -> tuple[int, int]:
         """(s, err) with |s - 2^bits * sum(nums[i]*g_i)| <= err."""
@@ -451,6 +464,35 @@ def _common_den(vectors: Sequence[ValueVector]):
         tuple(n * (den // v._den) for n in v._nums) for v in vectors
     )
     return nums, den
+
+
+def shadow(basis: RealBasis, nums: Sequence[int], den: int, T: int) -> int:
+    """Mantissa m with |m - value * 2^T| <= 2, value = nums/den over the basis."""
+    bits = T + sum(map(abs, nums)).bit_length() + 70
+    s, _err = basis._eval_fixpoint(nums, bits)
+    return s // (den << (bits - T))
+
+
+def settled_shadows(basis: RealBasis, rows: Sequence[Sequence[int]], den: int,
+                    T: int | None = None, sh: Sequence[int] | None = None):
+    """(T, shadows) of the positive values rows/den over the basis, at the
+    first scale T where every shadow clears 2^_SH_MIN.
+
+    Without a starting scale the first try is T = _SH_TARGET plus the bit
+    length of den.  Given shadows ``sh`` that fell short at scale T, the
+    loop raises T before it evaluates again.  Each round that leaves a
+    shadow under the floor raises T, doubling it while the smallest
+    shadow is 0 or 1, so a value near 2^-k settles in O(log k) rounds.
+    """
+    if T is None:
+        T = _SH_TARGET + den.bit_length()
+    while True:
+        if sh is not None:
+            low = min(sh)
+            T = 2 * T if low <= 1 else T + max(64, _SH_TARGET - low.bit_length())
+        sh = tuple(shadow(basis, r, den, T) for r in rows)
+        if min(sh) >= 1 << _SH_MIN:
+            return T, sh
 
 
 def value_cmp(a: ValueVector, b: ValueVector) -> int:

@@ -8,15 +8,17 @@ upward produces the descending chain of valuation ideals.
 Everything rests on one exact census, ``_FrameData.below``: the
 staircase of monomials under a threshold, walked breadth first, and its
 frontier, the children the walk rejects.  Each monomial carries its
-exact integer value row over the frame's common denominator and an
-integer fixpoint with a proven error bound.  The fixpoint decides a
-comparison whenever the gap exceeds the error, and exact sign
-refinement decides the rest.  Value equality is row equality.  The
-minimal generators of a threshold ideal are the corners of the
-staircase, read off the frontier: a corner's predecessor along its
-last variable is inside, so the walk has already rejected it.  Before
-walking, the census bounds its own size from the fixpoints and refuses
-with ``CensusTooLarge`` above ``CENSUS_CAP``.  No float is involved.
+exact integer value row over the frame's common denominator and the sum
+of its variables' shadows, the settled integer shadows of ``values``
+with a proven error bound.  The shadows decide a comparison whenever the
+gap exceeds the error, and exact sign refinement decides the rest; the
+stepping code of ``sequence`` uses the same filter.  Value equality is
+row equality.  The minimal generators of a threshold ideal are the
+corners of the staircase, read off the frontier: a corner's predecessor
+along its last variable is inside, so the walk has already rejected it.
+Before walking, the census bounds its own size from the shadows and
+refuses with ``CensusTooLarge`` above ``CENSUS_CAP``.  No float is
+involved.
 
 One census serves every rung of ``videal_chain``: its sorted levels
 are the thresholds and their sizes the colengths.  Only the
@@ -37,7 +39,7 @@ from typing import Sequence, Union
 from .errors import CensusTooLarge, NotTerminated
 from .monomials import Monomial, MonomialIdeal, extend_ideal, least_value, monomial_value
 from .sequence import ParameterFrame, argmin_word
-from .values import ValueVector, _common_den
+from .values import ValueVector, _common_den, settled_shadows, shadow
 
 FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
 
@@ -57,11 +59,9 @@ def _values_of(frame: FrameLike) -> tuple[ValueVector, ...]:
 
 class _FrameData:
     """Frame values as integer rows over one common denominator ``den``,
-    each with the fixpoint ``fix[i] = (s_i, err_i)`` of sign refinement:
-    |s_i - 2^bits * row_i| <= err_i.  ``bits`` starts at 64 and doubles
-    until every s_i exceeds its error 2^32-fold, so that the fixpoints
-    decide most comparisons even for a value like p - q*sqrt2 whose large
-    coefficients nearly cancel.
+    each with its settled shadow ``sh[i]``: |sh_i - 2^scale * v_i| <= 2 and
+    sh_i >= 2^_SH_MIN, so that the shadows decide most comparisons even
+    for a value like p - q*sqrt2 whose large coefficients nearly cancel.
     """
 
     def __init__(self, frame: FrameLike):
@@ -69,82 +69,74 @@ class _FrameData:
         self.basis = vals[0].basis
         self.rows, self.den = _common_den(vals)
         self.dim = len(vals)
-        self.bits = 64
-        while True:
-            self.fix = [self.basis._eval_fixpoint(r, self.bits) for r in self.rows]
-            if all(s > e << 32 for s, e in self.fix):
-                break
-            self.bits <<= 1
+        self.scale, self.sh = settled_shadows(self.basis, self.rows, self.den)
 
     def value(self, row: tuple) -> ValueVector:
         return ValueVector._raw(self.basis, row, self.den)
 
-    def size_bound(self, t: ValueVector, ts: int, terr: int) -> int:
+    def size_bound(self, tsh: int) -> int:
         """An upper bound on the number of monomials with v(m) <= t, given
-        the threshold's fixpoint (ts, terr) at ``bits``.
+        the threshold's shadow ``tsh`` at ``scale``.
 
         Only variables with v_i <= t can occur; A holds them, and any
-        variable the fixpoints cannot place above t.  The unit cubes
+        variable the shadows cannot place above t.  The unit cubes
         m + [0, 1)^A of those monomials are disjoint and lie in the
         simplex sum x_i v_i <= t + sum_A v_i, so there are at most
         (t + sum_A v_i)^|A| / (|A|! prod_A v_i) of them.  Every quantity
-        is an integer bound from the fixpoints, on the scale
-        2^bits * den * t's denominator.
+        is an integer bound from the shadows, on the scale 2^scale.
         """
-        top = (ts + terr) * self.den
-        lows = [(s - e) * t._den for s, e in self.fix]
-        active = [i for i, low in enumerate(lows) if low <= top]
-        span = top + sum((self.fix[i][0] + self.fix[i][1]) * t._den for i in active)
-        vol = math.factorial(len(active)) * math.prod(lows[i] for i in active)
+        top = tsh + 2
+        active = [i for i, s in enumerate(self.sh) if s - 2 <= top]
+        span = top + sum(self.sh[i] + 2 for i in active)
+        vol = math.factorial(len(active)) * math.prod(self.sh[i] - 2 for i in active)
         return -(-span ** len(active) // vol)
 
     def below(self, t: ValueVector, strict: bool) -> tuple[list[tuple], list]:
         """Every (m, row, s, err) with v(m) < t (strict) or v(m) <= t, and
-        the frontier: every child m + x_i the walk rejected.
+        the frontier: every child m + x_i the walk rejected.  ``s`` is the
+        sum of the shadows of m's variables, within err = 2 * |m| of
+        2^scale * v(m).
 
         Breadth first, so each m - x_j comes before m.  A monomial is
         reached only from m minus its last variable, and a child outside
         prunes its subtree, since every value is positive.  A child's
-        fixpoint settles it unless it ties with the threshold's; its exact
+        shadow settles it unless it ties with the threshold's; its exact
         row is built only when it is kept or tied, and only a tie calls
         exact sign refinement.  Raises BasisMismatch for a threshold over
         another basis and then, before walking, CensusTooLarge when
         ``size_bound`` exceeds ``CENSUS_CAP``.
         """
         t._check_basis(self)  # self carries the frame's basis like a value
-        ts, terr = self.basis._eval_fixpoint(t._nums, self.bits)
-        bound = self.size_bound(t, ts, terr)
+        tsh = shadow(self.basis, t._nums, t._den, self.scale)
+        bound = self.size_bound(tsh)
         if bound > CENSUS_CAP:
             raise CensusTooLarge(
                 f"census under the threshold may hold {bound} monomials, "
                 f"above the cap of {CENSUS_CAP}", estimate=bound)
-        # on the scale 2^bits * den * td, a node's fixpoint a = s * td - ts
-        # approximates v - t to within e = err * td + terr
-        td, den, sign = t._den, self.den, self.basis._sign_of_combo
-        ts, terr = ts * den, terr * den
-        tn = tuple(n * den for n in t._nums)
-        # per variable i: (i, row_i, s_i, err_i) and s_i, err_i on that scale
-        steps = [(i, row, s, e, s * td, e * td)
-                 for i, (row, (s, e)) in enumerate(zip(self.rows, self.fix))]
+        # exact rows compare as row * td against tn = t's numerators * den
+        td, sign = t._den, self.basis._sign_of_combo
+        tn = tuple(n * self.den for n in t._nums)
+        steps = list(zip(range(self.dim), self.rows, self.sh))
         limit = 0 if strict else 1  # keep a node when sign(v - t) < limit
         root = ((0,) * self.dim, (0,) * self.basis.size, 0, 0)
-        # the root's value is 0, so its sign is -sign(t)
-        keep = ts > terr or (ts >= -terr and -sign(tn) < limit)
+        # the root's value is 0: -tsh approximates it minus t within 2
+        keep = tsh > 2 or (tsh >= -2 and -sign(tn) < limit)
         out, starts = ([root], [0]) if keep else ([], [])
         rejected = []
         k = 0
         while k < len(out):
             m, row, s, err = out[k]
-            a0, e0 = s * td - ts, err * td + terr
-            for i, irow, si, ei, sit, eit in steps[starts[k]:]:
-                a, e = a0 + sit, e0 + eit
+            # a child's s + sh_i - tsh is within err + 4 of 2^scale * (v - t)
+            a0, e = s - tsh, err + 4
+            for i, irow, si in steps[starts[k]:]:
+                a = a0 + si
                 child = m[:i] + (m[i] + 1,) + m[i + 1:]
                 if a > e:
                     rejected.append(child)
                     continue
                 crow = tuple(map(operator.add, row, irow))
                 if a < -e or sign(tuple(r * td - n for r, n in zip(crow, tn))) < limit:
-                    out.append((child, crow, s + si, err + ei))
+                    out.append((child, crow, s + si, err + 2))
                     starts.append(i)
                 else:
                     rejected.append(child)
@@ -155,7 +147,7 @@ class _FrameData:
         """The distinct values <= bound, ascending, as [row, s, err, monomials].
 
         Rows are deduplicated as exact integer tuples and sorted by
-        fixpoint; each run whose adjacent gaps are at most twice the
+        shadow; each run whose adjacent gaps are at most twice the
         largest error is then sorted exactly.
         """
         groups: dict[tuple, list] = {}
@@ -177,12 +169,12 @@ class _FrameData:
         """The levels of the first census holding ``count`` distinct values.
 
         The bound is k * vmin for the least k with (k * vmin)^d >= count *
-        d! * prod(v), read off the fixpoints, and doubles until enough
+        d! * prod(v), read off the shadows, and doubles until enough
         values are in.  k never exceeds count - 1: the multiples 0, v_i,
         ..., (count - 1) * v_i of any one value are already enough, which
         keeps the census small on frames whose values differ widely.
         """
-        d, s = self.dim, [f[0] for f in self.fix]
+        d, s = self.dim, self.sh
         i = s.index(min(s))
         target = count * math.factorial(d) * math.prod(s)
         lo, hi = 0, 1

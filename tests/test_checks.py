@@ -13,8 +13,9 @@ from quadseq.checks import (
     list_checks,
     run_checks,
 )
-from quadseq.errors import UnknownCheck
+from quadseq.errors import ConfigError, UnknownCheck
 from quadseq.gallery import (
+    Scenario,
     build_preset,
     gen_713,
     gen_dvr,
@@ -106,17 +107,22 @@ def test_dvr_gets_not_applicable_bound():
 
 def test_remark4175_applicability():
     basis = RealBasis.default(1)
-    tight = build_preset("random", steps=5, seed=0)
-    tight.frame = ParameterFrame(
+    tight = ParameterFrame(
         [basis.rational(1), basis.rational(F(9, 8)), basis.rational(F(5, 4))])
-    (res,) = run_checks(tight, ["remark4175"])
+    (res,) = run_checks(Scenario("tight", tight, mode="argmin"), ["remark4175"])
     assert res.verdict == "pass"
     assert res.detail["colengths"] == [1, 1, 1, 1, 1]
 
-    spread = build_preset("random", steps=5, seed=0)
-    spread.frame = ParameterFrame([basis.rational(1), basis.rational(3)])
-    (res2,) = run_checks(spread, ["remark4175"])
+    spread = ParameterFrame([basis.rational(1), basis.rational(3)])
+    (res2,) = run_checks(Scenario("spread", spread, mode="argmin"), ["remark4175"])
     assert res2.verdict == "not applicable"
+
+    # the scenario is replayed before any check runs, one that reads only
+    # the frame too, so a plan that ties at its third step is refused
+    unsteppable = build_preset("random", steps=5, seed=0)
+    unsteppable.frame = tight
+    with pytest.raises(ConfigError, match="record 3"):
+        run_checks(unsteppable, ["remark4175"])
 
 
 def test_thm33a_missing_direction_witness():

@@ -76,3 +76,12 @@ def test_every_slot_is_read():
             if isinstance(node, ast.ClassDef)
             for slot in _literal(node.body, "__slots__") if slot not in read]
     assert not dead, f"slots never read: {dead}"
+
+
+def test_only_values_reads_the_fixpoint():
+    # one precision rule: other modules reach sign refinement through
+    # the shadows and signs of ``values``, never through its fixpoints
+    readers = sorted({f"{module}:{n.lineno}" for module, tree in _trees().items()
+                      if module != "values.py" for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr == "_eval_fixpoint"})
+    assert not readers, f"_eval_fixpoint read outside values.py: {readers}"

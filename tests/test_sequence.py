@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadseq import sequence, values
 from quadseq.errors import (
     AmbiguousDirection,
     DirectionNotMinimal,
@@ -27,7 +28,7 @@ from quadseq.sequence import (
     argmin_word,
     prefix_dominance,
 )
-from quadseq.values import RealBasis
+from quadseq.values import RealBasis, shadow
 
 B2 = RealBasis.default(2)
 
@@ -299,7 +300,7 @@ def test_history_branches_do_not_interfere():
     assert c.history[1].kind == "rescale"
     # the rescale sibling c was born with fresh shadows at its own scale
     assert c._sherr == (2, 2)
-    assert c._sh == c._fresh_shadows(c._shscale)[0]
+    assert c._sh == tuple(shadow(B2, v, c._den, c._shscale) for v in c._vals)
     d = a.rescale((B2.value([0, 1]), B2.rational(3)))
     assert _settled(d) and d._sherr == (2, 2)
     for branch in (b, d):
@@ -515,14 +516,14 @@ def test_frame_below_matches_the_interval_certificate(seed, d, rational, steps, 
 
 
 def test_long_runs_refresh_the_shadows_once_per_state(monkeypatch):
-    real = SequenceState._fresh_shadows
-    refreshed = []
+    real = sequence.settled_shadows
+    rows_refreshed = []
 
-    def counting(self, T):
-        refreshed.append(self.step_count)
-        return real(self, T)
+    def counting(basis, rows, den, T=None, sh=None):
+        rows_refreshed.append(rows)
+        return real(basis, rows, den, T, sh)
 
-    monkeypatch.setattr(SequenceState, "_fresh_shadows", counting)
+    monkeypatch.setattr(sequence, "settled_shadows", counting)
     state = SequenceState.from_frame(frame_1_sqrt2())
     oracle = _Oracle(state.frame_values)
     states = [state]
@@ -530,6 +531,9 @@ def test_long_runs_refresh_the_shadows_once_per_state(monkeypatch):
         state = _argmin_phase(state, oracle, 1)
         assert state.conservation_check() and state.bound_gap_sign() > 0
         states.append(state)
+    # each state refreshes its own rows, so they name the state
+    step_of = {id(s._vals): s.step_count for s in states}
+    refreshed = [step_of[id(rows)] for rows in rows_refreshed]
     assert refreshed[0] == 0
     assert any(n > 0 for n in refreshed), "300 steps never refreshed the shadows"
     assert len(set(refreshed)) == len(refreshed)
@@ -539,7 +543,7 @@ def test_long_runs_refresh_the_shadows_once_per_state(monkeypatch):
         sh = s._sh
         s._settle()
         assert s._sh is sh
-    assert len(refreshed) == before
+    assert len(rows_refreshed) == before
 
 
 def test_a_value_near_two_to_the_minus_2000_settles_in_few_rounds(monkeypatch):
@@ -549,17 +553,18 @@ def test_a_value_near_two_to_the_minus_2000_settles_in_few_rounds(monkeypatch):
     p, q = 1, 0
     for _ in range(1600):
         p, q = p + 2 * q, p + q
-    real = SequenceState._fresh_shadows
-    rounds = []
+    real = values.shadow
+    scales = []
 
-    def counting(self, T):
-        rounds.append(T)
-        return real(self, T)
+    def counting(basis, nums, den, T):
+        scales.append(T)
+        return real(basis, nums, den, T)
 
-    monkeypatch.setattr(SequenceState, "_fresh_shadows", counting)
+    # a round evaluates every row at one scale, and each round raises it
+    monkeypatch.setattr(values, "shadow", counting)
     frame = [B2.rational(1), B2.value([p, -q])]
     state = SequenceState.from_frame(frame)
     assert _settled(state)
-    assert len(rounds) <= 6
+    assert len(set(scales)) <= 6
     oracle = _Oracle(frame)
     _argmin_phase(state, oracle, 5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadseq.errors import BasisMismatch, IndeterminateComparison
+from quadseq.sequence import ParameterFrame
 from quadseq.values import RealBasis, SqrtGenerator, ValueVector, value_cmp
 
 getcontext().prec = 80
@@ -92,6 +93,19 @@ def test_large_height_separation():
     for _ in range(250):
         p, q = p + 2 * q, p + q
     assert B2.value([F(p, q), -1]).sign() == (1 if p * p > 2 * q * q else -1)
+
+
+def test_the_cap_itself_is_tried_before_giving_up():
+    # p - q*sqrt2 = (sqrt2 - 1)^2400, about 2^-3052: 4096 bits do not
+    # decide its sign, 8192 would pass the cap of 6214 bits, and the cap
+    # itself decides it
+    p, q = 1, 0
+    for _ in range(2400):
+        p, q = p + 2 * q, p + q
+    v = B2.value([p, -q])
+    assert B2._effective_cap(v._nums) == 6214
+    frame = ParameterFrame([B2.rational(1), v])
+    assert frame.values[1].sign() == 1
 
 
 def test_dependent_basis_raises_indeterminate():

@@ -17,7 +17,7 @@ import quadseq
 from quadseq.errors import BasisMismatch, CensusTooLarge, NotTerminated, QuadseqError
 from quadseq.monomials import MonomialIdeal, extend_ideal, monomial_value, total_degree
 from quadseq.sequence import ParameterFrame, SequenceState
-from quadseq.values import RealBasis
+from quadseq.values import RealBasis, shadow
 from quadseq import videals
 from quadseq.videals import (
     colength_step,
@@ -444,17 +444,20 @@ def absorb_ideal(frame, t, strict):
 def census_frames(draw):
     """d = 2..5 values in about [0.7, 2] over (1, sqrt2, sqrt3): rationals,
     rational multiples of sqrt2 and rationals plus a multiple of sqrt3,
-    so exact ties and irrational gaps both occur."""
+    so exact ties and irrational gaps both occur; all scaled by one power
+    of two 2^k with |k| <= 3000."""
+    scale = F(2) ** draw(st.integers(-3000, 3000))
     vals = []
     for _ in range(draw(st.integers(2, 5))):
         a = F(draw(st.integers(4, 8)), 4)
         kind = draw(st.sampled_from(["rational", "sqrt2", "sqrt3"]))
         if kind == "rational":
-            vals.append(B3.rational(a))
+            v = B3.rational(a)
         elif kind == "sqrt2":
-            vals.append(B3.value([0, a * F(3, 4), 0]))
+            v = B3.value([0, a * F(3, 4), 0])
         else:
-            vals.append(B3.value([a / 2, 0, F(draw(st.integers(1, 4)), 8)]))
+            v = B3.value([a / 2, 0, F(draw(st.integers(1, 4)), 8)])
+        vals.append(v.scale(scale))
     return vals
 
 
@@ -472,8 +475,8 @@ def test_frontier_corners_match_the_absorb_oracle(vals, data):
         for strict in (False, True):
             assert videal_at(frame, t, strict) == absorb_ideal(frame, t, strict)
         # the cap rests on this bound being an upper one
-        fix = census.basis._eval_fixpoint(t._nums, census.bits)
-        assert census.size_bound(t, *fix) >= len(census.below(t, strict=False)[0])
+        tsh = shadow(census.basis, t._nums, t._den, census.scale)
+        assert census.size_bound(tsh) >= len(census.below(t, strict=False)[0])
 
 
 def old_recursion_chain(vals, count):
