@@ -6,9 +6,11 @@ returns a CriterionResult whose ``line()`` is the one-line verdict;
 ``run_all`` executes them in order.  The expensive shared fixture (one
 hundred argmin runs of ten thousand steps) is built once and cached.
 
-Criteria 1, 2, 8 and 9 aggregate verdicts of the check registry over
-their fixtures, so each of those properties is decided only by the code
-that ``quadseq run --checks`` runs.
+Criteria 1-6 and 8-10 decide through the check registry, the code that
+``quadseq run --checks`` runs: 1 and 2 read ``eq631`` and ``bound63``,
+3-5 ``series-sum``, 6 the ``thm33a`` rule ``forms.order_drop_verdict``,
+8 ``videal-chain``, 9 ``tau-bound``, 10 ``prop344`` and
+``change-of-direction``, beside oracles of their own such as the laws of 3-5.
 
 Criterion 2 fails by design of the world, not of the code: its collapse
 certificate asks every run's frame to shrink below 1e-6, but runs in
@@ -34,8 +36,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .checks import CheckResult, collect_artifacts, run_checks
-from .forms import MonomialForm, order_drop_report, ratio_limit_report
+from .checks import CheckResult, RunArtifacts, collect_artifacts, run_checks
+from .forms import MonomialForm, order_drop_report, order_drop_verdict, ratio_limit_report
 from .gallery import (
     _FRACTION_POOL,
     Scenario,
@@ -162,25 +164,28 @@ def criterion_2() -> CriterionResult:
     )
 
 
+def _episode_sums_hold(art: RunArtifacts, laws: dict[int, Fraction]) -> bool:
+    """Whether ``series-sum`` passes at all ``len(laws)`` boundaries, not
+    vacuously at fewer, and the preset's closed form equals each ``laws[k]``."""
+    (res,) = run_checks(art, ["series-sum"])
+    return (res.verdict == "pass" and res.detail["episodes"] == len(laws)
+            and all(art.scenario.sum_after_episodes(k) == law for k, law in laws.items()))
+
+
 def criterion_3() -> CriterionResult:
     t0 = time.perf_counter()
     sc = gen_shannon_418(episodes=30)
-    basis = sc.frame.basis
-    sums = collect_artifacts(sc).boundary_sums
-    bad = [
-        k
-        for k, total in enumerate(sums, start=1)
-        if total != basis.rational(Fraction(8, 3) * (1 - Fraction(1, 4) ** k))
-    ]
-    ok = not bad and sc.expected_limit == Fraction(8, 3)
+    laws = {k: Fraction(8, 3) * (1 - Fraction(1, 4) ** k) for k in range(1, 31)}
+    sums_ok = _episode_sums_hold(collect_artifacts(sc), laws)
+    ok = sums_ok and sc.expected_limit == Fraction(8, 3)
     summary = (
         "episode sums equal (8/3)(1 - (1/4)^k) exactly for k <= 30; limit 8/3"
         if ok
-        else f"episode sums off at k={bad[:5]} or wrong limit"
+        else f"episode sums {sums_ok}, limit {sc.expected_limit}"
     )
     return CriterionResult(
         3, "geometric episode sums reach 8/3", ok, summary,
-        {"bad_episodes": bad}, time.perf_counter() - t0,
+        {"sums": sums_ok}, time.perf_counter() - t0,
     )
 
 
@@ -195,10 +200,8 @@ def criterion_4() -> CriterionResult:
         final.m_value(j) == basis.rational(Fraction(1, 2) ** (divmod(j, 2)[0] + divmod(j, 2)[1]))
         for j in range(final.step_count)
     )
-    sums_ok = all(
-        total == basis.rational(3 - 3 * Fraction(1, 2) ** k)
-        for k, total in enumerate(art.boundary_sums, start=1)
-    )
+    sums_ok = _episode_sums_hold(
+        art, {k: 3 - 3 * Fraction(1, 2) ** k for k in range(1, 21)})
     final3 = collect_artifacts(gen_notunion_rr1(steps=40, embed3d=True)).final
     spectator = all(
         "z" in final3.starving_directions(w)
@@ -227,8 +230,6 @@ def criterion_5() -> CriterionResult:
     detail = {}
     all_ok = True
     for sc in (gen_713(episodes=1000), gen_714(episodes=1000)):
-        basis = sc.frame.basis
-        sums = collect_artifacts(sc).boundary_sums
         if sc.name == "gmr-7.13":
             laws = {k: k + 2 - 2 * Fraction(1, 2) ** k for k in range(1, 1001)}
         else:
@@ -238,10 +239,7 @@ def criterion_5() -> CriterionResult:
             for k in range(2, 1001):
                 acc += 1 + Fraction(1, 4) ** (k - 1)
                 laws[k] = acc
-        laws_ok = all(
-            total == basis.rational(laws[k])
-            for k, total in enumerate(sums, start=1)
-        )
+        laws_ok = _episode_sums_hold(collect_artifacts(sc), laws)
         running = Fraction(0)
         k = 0
         groups_ok = floor_ok = True
@@ -251,7 +249,7 @@ def criterion_5() -> CriterionResult:
                 k += 1
                 groups_ok &= g.count * g.value == 1
                 floor_ok &= running >= k
-        stream_ok = sums[-1] == basis.rational(running)
+        stream_ok = running == laws[1000]
         this_ok = laws_ok and groups_ok and floor_ok and stream_ok and sc.diverges
         detail[sc.name] = {
             "laws": laws_ok, "unit_groups": groups_ok,
@@ -278,11 +276,7 @@ def criterion_6() -> CriterionResult:
     for dim in (2, 3):
         for length in range(1, 7):
             for word in itertools.product(range(dim), repeat=length):
-                rep = order_drop_report(dim, word, max_degree=3)
-                if rep["full_coverage"]:
-                    if not (rep["all_drop"] and rep["orders_monotone"]):
-                        bad.append((dim, word))
-                elif not rep["witness_constant"]:
+                if not order_drop_verdict(order_drop_report(dim, word, max_degree=3)):
                     bad.append((dim, word))
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -395,21 +389,14 @@ def criterion_8() -> CriterionResult:
         if res.verdict != "pass" or not res.detail["independent_values"]:
             problems.append((d, seed, "first 50 ideals: no colength-1 descent"))
         monos = [m for m in itertools.product(range(6), repeat=d) if sum(m) <= 5]
-        vals = frame.values
-        maxv = vals[0]
-        mvalues = {}
-        for m in monos:
-            mvalues[m] = monomial_value(vals, m)
-            if mvalues[m].cmp(maxv) > 0:
-                maxv = mvalues[m]
-        ladder = enumerate_values(frame, maxv)
+        mvalues = {m: monomial_value(frame.values, m) for m in monos}
+        ladder = enumerate_values(frame, max(mvalues.values()))
         chain = videal_chain(frame, len(ladder))
         longest = max(longest, len(chain))
         if [e["threshold"] for e in chain] != ladder:
             problems.append((d, seed, "thresholds are not the attained values"))
             continue
-        for m in monos:
-            vm = mvalues[m]
+        for m, vm in mvalues.items():
             hits = [e for e in chain if e["threshold"] == vm]
             if len(hits) != 1 or videal_at(frame, vm) != hits[0]["ideal"]:
                 problems.append((d, seed, f"contraction of {m} not a chain member"))
@@ -485,17 +472,16 @@ def criterion_10() -> CriterionResult:
             if len(used) < d:
                 continue
             accepted += 1
-            rep = st.first_use_order_report()
-            if not rep["all_hold"]:
-                relabel_bad.append((d, attempts, rep))
+            # every prefix is compared: the check's default cap is 30
+            prop344, moved = run_checks(
+                Scenario("criterion-10", frame, mode="argmin", steps=st.step_count),
+                ["prop344", "change-of-direction"], {"prefix_cap": st.step_count})
+            if prop344.verdict != "pass":
+                relabel_bad.append((d, attempts, prop344.detail))
             else:
-                gaps.append(rep["gap_integer"])
-            for n in range(1, st.step_count + 1):
-                if st.change_of_direction(n, "value") != st.change_of_direction(
-                    n, "ideal"
-                ):
-                    agree_bad.append((d, attempts, n))
-                    break
+                gaps.append(prop344.detail["report"]["gap_integer"])
+            if moved.verdict != "pass":
+                agree_bad.append((d, attempts, moved.detail))
         attempts_by_dim[d] = attempts
         if gaps:
             gaps_by_dim[d] = (min(gaps), max(gaps))

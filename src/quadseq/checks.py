@@ -31,7 +31,8 @@ from .errors import (
     RatioUndefined,
     UnknownCheck,
 )
-from .forms import ANTICHAIN_CAP, MonomialForm, order_drop_report, ratio_limit_report
+from .forms import (ANTICHAIN_CAP, MonomialForm, order_drop_report,
+                    order_drop_verdict, ratio_limit_report)
 from .gallery import Scenario, replay_states
 from .monomials import MonomialIdeal, extend_ideal, monomial_value
 from .sequence import SequenceState, argmin_word
@@ -107,7 +108,7 @@ def collect_artifacts(scenario: Scenario) -> RunArtifacts:
     boundaries = set(scenario.boundaries)
     boundary_sums: dict[int, ValueVector] = {}
     n = 0  # records completed, so record n + 1 is the one in progress
-    state = SequenceState.from_frame(scenario.frame)
+    state = None
     try:
         for state in replay_states(scenario):
             if conservation_fail is None and not state.conservation_check():
@@ -122,7 +123,7 @@ def collect_artifacts(scenario: Scenario) -> RunArtifacts:
         raise ConfigError(f"scenario failed at record {n + 1}: {exc}") from exc
     return RunArtifacts(
         scenario=scenario,
-        final=state,
+        final=state or SequenceState.from_frame(scenario.frame),
         conservation_fail_step=conservation_fail,
         bound_fail_step=bound_fail,
         bound_reason=bound_reason,
@@ -216,28 +217,19 @@ def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
                 "reason": "directions only covered beyond the sweep cap",
                 "word_cap": cap,
             })
-        try:
-            report = order_drop_report(dim, word[:covering_len], max_degree)
-        except CensusTooLarge as exc:
-            return CheckResult("thm33a", "not applicable", {
-                "reason": str(exc),
-                "antichain_cap": ANTICHAIN_CAP,
-            })
-        verdict = "pass" if report["all_drop"] and report["orders_monotone"] else "fail"
-        return CheckResult("thm33a", verdict, {
-            "mode": "full-coverage",
-            "word_length": covering_len,
-            "report": report,
+        word = word[:covering_len]
+        detail: dict = {"mode": "full-coverage", "word_length": covering_len}
+    else:
+        detail = {"mode": "missing-direction", "missing_from_word": sorted(
+            final.names[i] for i in range(dim) if i not in used)}
+    try:
+        detail["report"] = report = order_drop_report(dim, word, max_degree)
+    except CensusTooLarge as exc:
+        return CheckResult("thm33a", "not applicable", {
+            "reason": str(exc),
+            "antichain_cap": ANTICHAIN_CAP,
         })
-    report = order_drop_report(dim, word, max_degree)
-    ok = (not report["full_coverage"]) and report["witness_constant"]
-    return CheckResult("thm33a", "pass" if ok else "fail", {
-        "mode": "missing-direction",
-        "missing_from_word": sorted(
-            final.names[i] for i in range(dim) if i not in used
-        ),
-        "report": report,
-    })
+    return CheckResult("thm33a", "pass" if order_drop_verdict(report) else "fail", detail)
 
 
 def _check_first_use(art: RunArtifacts, options: dict) -> CheckResult:

@@ -110,6 +110,19 @@ def _parse_value(basis: RealBasis, spec, where: str) -> ValueVector:
     return basis.rational(_to_rational(spec, where))
 
 
+def _parse_basis(spec) -> RealBasis:
+    """Radicands are read by ``_to_int``; basis errors become ConfigError."""
+    if not isinstance(spec, list):
+        raise ConfigError(f"basis: must be a list of generators, got {spec!r}")
+    gens = [{"sqrt": _to_int(g["sqrt"], f"basis[{i}].sqrt")}
+            if isinstance(g, dict) and set(g) == {"sqrt"} else g
+            for i, g in enumerate(spec)]
+    try:
+        return RealBasis.from_obj(gens)
+    except ValueError as exc:
+        raise ConfigError(f"basis: {exc}") from exc
+
+
 def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
     if not isinstance(obj, list):
         raise ConfigError("plan must be a list of step objects")
@@ -206,7 +219,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
     dim = _to_int(cfg["dimension"], "dimension")
     if dim < 1:
         raise ConfigError(f"dimension: must be >= 1, got {dim}")
-    basis = (RealBasis.from_obj(cfg["basis"]) if "basis" in cfg
+    basis = (_parse_basis(cfg["basis"]) if "basis" in cfg
              else RealBasis.default(dim))
     frame_spec = cfg["frame"]
     if not isinstance(frame_spec, list) or len(frame_spec) != dim:

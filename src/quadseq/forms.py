@@ -238,6 +238,14 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
     }
 
 
+def order_drop_verdict(report: dict) -> bool:
+    """The ``thm33a`` rule on an ``order_drop_report``: a covering word drops
+    every form and raises no order, any other word keeps its witness."""
+    if report["full_coverage"]:
+        return report["all_drop"] and report["orders_monotone"]
+    return report["witness_constant"]
+
+
 # -- order ratios along an argmin word ----------------------------------------
 
 

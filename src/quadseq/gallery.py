@@ -87,10 +87,10 @@ def replay_states(scenario: Scenario) -> Iterator[SequenceState]:
 
 def run_scenario(scenario: Scenario) -> SequenceState:
     """Replay the whole plan and return the final state."""
-    state = SequenceState.from_frame(scenario.frame)
+    state = None
     for state in replay_states(scenario):
         pass
-    return state
+    return state or SequenceState.from_frame(scenario.frame)
 
 
 def _rat_frame(basis: RealBasis, values: Sequence[Fraction | int],

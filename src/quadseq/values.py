@@ -96,7 +96,7 @@ class SqrtGenerator(Generator):
     is_rational = False
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n <= 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
             raise ValueError(f"sqrt radicand must be a positive integer, got {n!r}")
         self.n = n
         self.key = ("sqrt", n)
@@ -115,7 +115,7 @@ def _generator_from_obj(obj) -> Generator:
     if obj == "one":
         return OneGenerator()
     if isinstance(obj, dict) and set(obj) == {"sqrt"}:
-        return SqrtGenerator(int(obj["sqrt"]))
+        return SqrtGenerator(obj["sqrt"])
     raise ValueError(f"unknown basis generator: {obj!r}")
 
 
@@ -130,7 +130,7 @@ class RealBasis:
             raise ValueError("basis needs at least one generator")
         keys = [g.key for g in gens]
         if len(set(keys)) != len(keys):
-            raise ValueError("duplicate basis generators")
+            raise ValueError(f"duplicate basis generators in {list(gens)}")
         self.generators = gens
         self._key = tuple(keys)
         self._one_index = next(

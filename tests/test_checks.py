@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quadseq import checks
+from quadseq import checks, forms, sequence
 from quadseq.checks import (
     CHECKS,
     collect_artifacts,
@@ -226,3 +226,85 @@ def test_videal_chain_fails_on_a_chain_that_skips_an_attained_value(monkeypatch)
     assert res.detail["colengths"] == [1] * 12
     assert "threshold_mismatch_at" not in res.detail
     assert res.detail["skipped_value_at"] == 2
+
+
+def test_a_replay_builds_the_initial_state_once(monkeypatch):
+    calls = []
+    from_frame = SequenceState.from_frame
+
+    def counting(frame, names=None):
+        calls.append(frame)
+        return from_frame(frame, names)
+
+    monkeypatch.setattr(SequenceState, "from_frame", staticmethod(counting))
+    sc = build_preset("random")
+    collect_artifacts(sc)
+    assert len(calls) == 1
+    # a plan with no records still ends at the initial state
+    art = collect_artifacts(Scenario("empty", sc.frame))
+    assert art.final.step_count == 0
+    assert art.final.frame_values == sc.frame.values
+
+
+# -- a check can fail: each mutant patches a library function the check
+# reads, never the check's own verdict code, and takes the verdict on the
+# same scenario from pass to fail; the scenario is built before patching,
+# since the random draws read the dominance test too
+
+
+def _antichain_degree_off_by_one(monkeypatch, sc):
+    columns_of = forms._antichain_columns
+
+    def mutant(dim, max_degree):
+        # the first antichain, the last variable alone, loses its degree
+        columns = columns_of(dim, max_degree).copy()
+        columns[dim - 1, :, 0] -= 1
+        return columns
+
+    monkeypatch.setattr(forms, "_antichain_columns", mutant)
+
+
+def _dominance_off_by_one(monkeypatch, sc):
+    def mutant(a):
+        # (j-1)*a_j where prefix dominance has (j-2)*a_j
+        prefix = None
+        for k in range(2, len(a)):
+            prefix = a[0] + a[1] if prefix is None else prefix + a[k - 1]
+            if a[k].scale(k).cmp(prefix) >= 0:
+                return k
+        return None
+
+    monkeypatch.setattr(sequence, "_dominance_break", mutant)
+
+
+def _law_drops_the_last_episode(monkeypatch, sc):
+    law = sc.sum_after_episodes
+    monkeypatch.setattr(sc, "sum_after_episodes", lambda k: law(k - 1))
+
+
+def _run_count_off_by_one(monkeypatch, sc):
+    rewrite = sequence.rewrite_monomial
+    monkeypatch.setattr(sequence, "rewrite_monomial",
+                        lambda m, direction, count=1: rewrite(m, direction, count - 1))
+
+
+MUTANTS = {
+    "thm33a": (lambda: gen_random_independent(3, 5, steps=10),
+               _antichain_degree_off_by_one),
+    "prop344": (lambda: gen_random_independent(3, 5, steps=10),
+                _dominance_off_by_one),
+    "series-sum": (lambda: gen_shannon_418(episodes=5), _law_drops_the_last_episode),
+    "change-of-direction": (lambda: gen_random_independent(3, 5, steps=10),
+                            _run_count_off_by_one),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MUTANTS))
+def test_a_mutant_of_what_the_check_reads_fails_it(monkeypatch, check):
+    build, mutate = MUTANTS[check]
+    sc = build()
+    (res,) = run_checks(sc, [check])
+    assert res.verdict == "pass"
+    mutate(monkeypatch, sc)
+    (res,) = run_checks(sc, [check])
+    assert res.verdict == "fail", res.detail

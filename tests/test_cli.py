@@ -237,6 +237,38 @@ def test_non_integer_config_values_exit_two(tmp_path, capsys, cfg, where):
     assert f"config error: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("basis, needle", [
+    # 2.7 used to be truncated to sqrt(2)
+    (["one", {"sqrt": 2.7}], "basis[1].sqrt: not an integer: 2.7"),
+    (["one", {"sqrt": True}], "basis[1].sqrt: not an integer: True"),
+    # these two used to escape from RealBasis as a raw ValueError
+    (["one", {"sqrt": -3}], "got -3"),
+    (["one", {"sqrt": 2}, {"sqrt": 2}], "duplicate basis generators in [1, sqrt2, sqrt2]"),
+    (["one", {"cbrt": 2}], "unknown basis generator: {'cbrt': 2}"),
+    (5, "must be a list of generators"),
+], ids=["fractional", "bool", "negative", "repeated", "unknown", "not-a-list"])
+def test_bad_basis_exits_two(tmp_path, capsys, basis, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dimension": 2, "basis": basis, "frame": ["1", "3/2"]}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: basis")
+    assert needle in err
+
+
+def test_radicand_as_a_decimal_string_reads_as_its_integer(tmp_path):
+    reports = []
+    for radicand in (2, "2"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dimension": 2, "basis": ["one", {"sqrt": radicand}],
+                                    "frame": ["1", ["0", "1"]], "steps": 3}))
+        out = tmp_path / f"r{len(reports)}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["scenario"]["basis"] == ["one", {"sqrt": 2}]
+
+
 @pytest.mark.parametrize("key, least", [
     ("chain_length", 1), ("n_ideals", 1), ("word_cap", 1), ("max_degree", 1),
     ("ratio_steps", 1), ("prefix_cap", 1), ("tau_max_steps", 0)])
