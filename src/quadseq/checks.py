@@ -1,8 +1,11 @@
 """Named verification checks runnable against any scenario.
 
 The registry keys are the stable interface strings used by configs and
-the command line.  Each check inspects the RunArtifacts of one replay,
-which ``quadseq run`` also builds its trace from, and returns a verdict:
+the command line; each entry of ``CHECKS`` holds a check and its
+explanation.  ``OPTIONS`` declares every option the checks read, and
+``run_checks`` holds every caller to it.  Each check inspects the
+RunArtifacts of one replay, which ``quadseq run`` also builds its trace
+from, and returns a verdict:
 
 - "pass"           the claimed property held everywhere it was tested
 - "fail"           a counterexample was found; the detail names it
@@ -33,13 +36,29 @@ from .errors import (
 )
 from .forms import (ANTICHAIN_CAP, MonomialForm, order_drop_report,
                     order_drop_verdict, ratio_limit_report)
-from .gallery import Scenario, replay_states
+from .gallery import Scenario, _to_int, _to_rational, replay_states
 from .monomials import MonomialIdeal, extend_ideal, monomial_value
 from .sequence import SequenceState, argmin_word
 from .values import ValueVector
 from .videals import ideal_value, short_chain_report, tau_bound, videal_chain
 
-SMALL_FRAME_THRESHOLD = Fraction(1, 10**6)
+# every option a check reads: (default, least value).  small_threshold
+# must exceed its least; a None default is worked out by the check from
+# the run (the windows 1, 2, 5, 10, 20 and the carrying-record count; the
+# monomials y and x for ratio_f and ratio_g).
+OPTIONS: dict[str, tuple] = {
+    "small_threshold": (Fraction(1, 10**6), 0),
+    "chain_length": (12, 1),
+    "n_ideals": (6, 1),
+    "word_cap": (128, 1),
+    "max_degree": (3, 1),
+    "ratio_steps": (40, 1),
+    "prefix_cap": (30, 1),
+    "tau_max_steps": (200, 0),
+    "windows": (None, 0),
+    "ratio_f": (None, 0),
+    "ratio_g": (None, 0),
+}
 
 
 @dataclass
@@ -156,7 +175,7 @@ def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
         "running_sum": final.partial_sum,
         "independent_values": independent,
     }
-    threshold = options.get("small_threshold", SMALL_FRAME_THRESHOLD)
+    threshold = options["small_threshold"]
     tail_small = final.frame_below(threshold)
     detail["frame_below_threshold"] = tail_small
     detail["threshold"] = threshold
@@ -175,8 +194,8 @@ def _check_switching_witness(art: RunArtifacts, options: dict) -> CheckResult:
     if carrying == 0:
         return CheckResult("switching-witness", "not applicable",
                            {"reason": "no direction-carrying steps"})
-    windows = options.get("windows") or [w for w in (1, 2, 5, 10, 20, carrying)
-                                         if w <= carrying]
+    windows = options["windows"] or [w for w in (1, 2, 5, 10, 20, carrying)
+                                     if w <= carrying]
     per_window = {w: sorted(final.starving_directions(w)) for w in windows}
     counts = final.direction_counts()
     never_used = sorted(name for name, c in counts.items() if c == 0)
@@ -190,8 +209,8 @@ def _check_switching_witness(art: RunArtifacts, options: dict) -> CheckResult:
 def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
     final = art.final
     dim = final.dim
-    cap = options.get("word_cap", 128)
-    max_degree = options.get("max_degree", 3)
+    cap = options["word_cap"]
+    max_degree = options["max_degree"]
     # the word consists of the monomial steps only: a rescale may carry a
     # direction label, but it is not a letter the rewrite acts through
     word: list[int] = []
@@ -251,9 +270,9 @@ def _check_ratio_limit(art: RunArtifacts, options: dict) -> CheckResult:
         return CheckResult("ratio-limit", "not applicable",
                            {"reason": "order ratios are tracked along argmin runs"})
     dim = sc.frame.dim
-    f_sup = options.get("ratio_f") or [tuple(1 if i == 1 else 0 for i in range(dim))]
-    g_sup = options.get("ratio_g") or [tuple(1 if i == 0 else 0 for i in range(dim))]
-    steps = min(options.get("ratio_steps", 40), sc.steps or 40)
+    f_sup = options["ratio_f"] or [tuple(1 if i == 1 else 0 for i in range(dim))]
+    g_sup = options["ratio_g"] or [tuple(1 if i == 0 else 0 for i in range(dim))]
+    steps = min(options["ratio_steps"], sc.steps or 40)
     try:
         report = ratio_limit_report(
             sc.frame, MonomialForm(f_sup, dim), MonomialForm(g_sup, dim), steps)
@@ -265,7 +284,7 @@ def _check_ratio_limit(art: RunArtifacts, options: dict) -> CheckResult:
 
 def _check_videal_chain(art: RunArtifacts, options: dict) -> CheckResult:
     frame = art.scenario.frame
-    length = options.get("chain_length", 12)
+    length = options["chain_length"]
     chain = videal_chain(frame, length)
     descending = all(
         b["threshold"].cmp(a["threshold"]) > 0
@@ -323,8 +342,8 @@ def _outside_reaches_above(frame, ideal: MonomialIdeal, t: ValueVector) -> bool:
 
 def _check_tau_bound(art: RunArtifacts, options: dict) -> CheckResult:
     frame = art.scenario.frame
-    n_ideals = options.get("n_ideals", 6)
-    max_steps = options.get("tau_max_steps", 200)
+    n_ideals = options["n_ideals"]
+    max_steps = options["tau_max_steps"]
     try:
         j = tau_bound(frame, n_ideals, max_steps=max_steps)
     except AmbiguousDirection as exc:
@@ -402,7 +421,7 @@ def _check_change_of_direction(art: RunArtifacts, options: dict) -> CheckResult:
         if rec.kind != "monomial":
             break
         limit += 1
-    limit = min(limit, options.get("prefix_cap", 30))
+    limit = min(limit, options["prefix_cap"])
     if limit == 0:
         return CheckResult("change-of-direction", "not applicable",
                            {"reason": "no monomial-only prefix to compare on"})
@@ -423,106 +442,82 @@ def _check_change_of_direction(art: RunArtifacts, options: dict) -> CheckResult:
     })
 
 
-CHECKS: dict[str, Callable[[RunArtifacts, dict], CheckResult]] = {
-    "eq631": _check_conservation,
-    "bound63": _check_series_bound,
-    "switching-witness": _check_switching_witness,
-    "thm33a": _check_order_drop,
-    "prop344": _check_first_use,
-    "ratio-limit": _check_ratio_limit,
-    "videal-chain": _check_videal_chain,
-    "tau-bound": _check_tau_bound,
-    "remark4175": _check_short_chain,
-    "series-sum": _check_series_sum,
-    "change-of-direction": _check_change_of_direction,
-}
-
-EXPLANATIONS = {
-    "eq631": (
+# id: (check, the explanation ``quadseq explain`` prints)
+CHECKS: dict[str, tuple[Callable[[RunArtifacts, dict], CheckResult], str]] = {
+    "eq631": (_check_conservation,
         "Conservation of value mass within a rescale-free stretch: for a "
         "d-direction frame, (d-1) times the sum of step values taken since "
         "the stretch began, plus the current frame total, equals the frame "
         "total at the start of the stretch.  Every monomial step subtracts "
         "its value from exactly d-1 coordinates, so the identity holds "
         "step by step; the check verifies it as an exact coefficient "
-        "identity after every record."
-    ),
-    "bound63": (
+        "identity after every record."),
+    "bound63": (_check_series_bound,
         "Bounded running sum: along a rescale-free run the sum of step "
         "values stays strictly below (initial frame total)/(d-1), because "
         "the conservation identity makes the gap equal to the current "
         "frame total over d-1, which is positive.  The check also reports "
         "whether the final frame has shrunk below a small threshold, which "
-        "pins the running sum to within threshold*d/(d-1) of the ceiling."
-    ),
-    "switching-witness": (
+        "pins the running sum to within threshold*d/(d-1) of the ceiling."),
+    "switching-witness": (_check_switching_witness,
         "Occupancy report for the recent past: for each window size it "
         "lists the directions that did not carry any of the last so-many "
         "direction-carrying steps.  A direction that starves in every "
         "window is the classic witness that the sequence has locked onto "
-        "a proper subset of the coordinates."
-    ),
-    "thm33a": (
+        "a proper subset of the coordinates."),
+    "thm33a": (_check_order_drop,
         "Order-drop dichotomy: along a word of directions that uses every "
         "coordinate at least once, the order of every nonunit monomial "
         "form strictly drops; if some coordinate never occurs, the form "
         "consisting of that single variable keeps order one forever.  The "
         "check sweeps all antichain supports up to a degree cap through "
         "the scenario's word and verifies whichever branch applies; a "
-        "sweep with more antichains than its cap is not applicable."
-    ),
-    "prop344": (
+        "sweep with more antichains than its cap is not applicable."),
+    "prop344": (_check_first_use,
         "Shape of the initial values under first-use ordering: listing the "
         "initial frame values in the order their directions first carry a "
         "step, the values ascend strictly; an integer s >= 1 squeezes the "
         "second value between s and s+1 times the first; and each later "
-        "value a_j satisfies (j-2)*a_j < a_1 + ... + a_(j-1)."
-    ),
-    "ratio-limit": (
+        "value a_j satisfies (j-2)*a_j < a_1 + ... + a_(j-1)."),
+    "ratio-limit": (_check_ratio_limit,
         "Order ratio convergence: fixing two monomials and rewriting both "
         "along the argmin word, the ratio of their orders converges to "
         "the ratio of their frame values.  The check records the order "
         "pairs at every step and emits the exact limit (a fraction when "
         "the value ratio is rational, otherwise both exact values plus a "
-        "rational enclosure)."
-    ),
-    "videal-chain": (
+        "rational enclosure)."),
+    "videal-chain": (_check_videal_chain,
         "Valuation-ideal ladder: starting from the whole ring, repeatedly "
         "take the monomials of value strictly above the current ideal's "
         "value.  The resulting chain must descend strictly, its thresholds "
         "must be exactly the attained monomial values in increasing order, "
         "and when the frame values admit no rational relation each step "
-        "has colength one (exactly one monomial sits at each threshold)."
-    ),
-    "tau-bound": (
+        "has colength one (exactly one monomial sits at each threshold)."),
+    "tau-bound": (_check_tau_bound,
         "Principality prefix: extending each of the first n valuation "
         "ideals through the argmin word eventually makes all of them "
         "principal at once; the check reports the least such prefix length "
         "and re-verifies both that it works and that one step fewer does "
-        "not."
-    ),
-    "remark4175": (
+        "not."),
+    "remark4175": (_check_short_chain,
         "Short ladder under tightly clustered values: when every frame "
         "value is below twice the smallest, the valuation ideals between "
         "the whole ring and the square of the maximal ideal are exactly "
         "the ring, the maximal ideal, one ideal per remaining variable, "
         "and the square itself - a chain of d+2 ideals with colength one "
-        "at every step."
-    ),
-    "series-sum": (
+        "at every step."),
+    "series-sum": (_check_series_sum,
         "Episode-sum law: scenarios built from episodes declare an exact "
         "closed form for the running sum at each episode boundary.  The "
         "check replays the plan and compares every boundary sum to the "
         "closed form by exact arithmetic; for divergent scenarios it also "
-        "confirms the sums dominate the episode count."
-    ),
-    "change-of-direction": (
+        "confirms the sums dominate the episode count."),
+    "change-of-direction": (_check_change_of_direction,
         "Two routes to 'the sequence moved': comparing the first step "
         "value against the (n-1)st detects a strict drop exactly when the "
         "extension of the maximal ideal along the first n directions has "
         "order at least two.  The check runs both routes on every prefix "
-        "and demands they agree."
-    ),
+        "and demands they agree."),
 }
 
 
@@ -531,9 +526,51 @@ def list_checks() -> list[str]:
 
 
 def explain(check: str) -> str:
-    if check not in EXPLANATIONS:
+    if check not in CHECKS:
         raise UnknownCheck(check)
-    return EXPLANATIONS[check]
+    return CHECKS[check][1]
+
+
+def parse_options(obj, dim: int) -> dict:
+    """Every key of ``OPTIONS``: its value in ``obj`` (a dict or None), read
+    and held to its least, else its default.  A ratio_f/ratio_g monomial has
+    ``dim`` exponents; an unknown key or a bad value raises ConfigError."""
+    if obj is None:
+        obj = {}
+    if not isinstance(obj, dict):
+        raise ConfigError("options must be an object")
+    unknown = sorted(set(obj) - set(OPTIONS))
+    if unknown:
+        raise ConfigError(f"options: unknown keys {unknown}")
+    options = {}
+    for key, (default, least) in OPTIONS.items():
+        where = f"options.{key}"
+        if key not in obj:
+            options[key] = default
+        elif key == "small_threshold":
+            options[key] = t = _to_rational(obj[key], where)
+            if t <= least:
+                raise ConfigError(f"{where}: must be > {least}, got {t}")
+        elif key == "windows":
+            windows = obj[key]
+            if isinstance(windows, (list, tuple)):
+                windows = [_to_int(w, f"{where}[{i}]") for i, w in enumerate(windows)]
+            if not isinstance(windows, list) or min(windows, default=least) < least:
+                raise ConfigError(f"{where}: must be a list of integers >= {least}")
+            options[key] = windows
+        elif key in ("ratio_f", "ratio_g"):
+            monos = obj[key]
+            if not isinstance(monos, (list, tuple)) or not all(
+                    isinstance(m, (list, tuple)) and len(m) == dim for m in monos):
+                raise ConfigError(f"{where}: must be a list of lists of {dim} exponents")
+            options[key] = [tuple(_to_int(e, where) for e in m) for m in monos]
+            if any(e < least for m in options[key] for e in m):
+                raise ConfigError(f"{where}: exponents must be >= {least}")
+        else:
+            options[key] = n = _to_int(obj[key], where)
+            if n < least:
+                raise ConfigError(f"{where}: must be >= {least}, got {n}")
+    return options
 
 
 def run_checks(target: Scenario | RunArtifacts, check_ids: Sequence[str],
@@ -541,15 +578,17 @@ def run_checks(target: Scenario | RunArtifacts, check_ids: Sequence[str],
     """Run each requested check (deduplicated, in order) on one replay: the
     given artifacts, or a replay of the scenario made here.
 
-    The replay is made whichever checks are requested, so a scenario whose
-    plan cannot be stepped raises ConfigError naming the record, even when
-    every requested check looks only at the frame."""
-    options = options or {}
+    ``parse_options`` reads the options first.  The replay is made
+    whichever checks are requested, so a scenario whose plan cannot be
+    stepped raises ConfigError naming the record, even when every
+    requested check looks only at the frame."""
     ordered: list[str] = []
     for cid in check_ids:
         if cid not in CHECKS:
             raise UnknownCheck(cid)
         if cid not in ordered:
             ordered.append(cid)
+    scenario = target.scenario if isinstance(target, RunArtifacts) else target
+    options = parse_options(options, scenario.frame.dim)
     art = target if isinstance(target, RunArtifacts) else collect_artifacts(target)
-    return [CHECKS[cid](art, options) for cid in ordered]
+    return [CHECKS[cid][0](art, options) for cid in ordered]

@@ -29,10 +29,10 @@ from json.encoder import encode_basestring_ascii
 
 from . import acceptance
 from .checks import (CheckResult, RunArtifacts, collect_artifacts, explain,
-                     list_checks, run_checks)
+                     list_checks, parse_options, run_checks)
 from .errors import ConfigError, QuadseqError, UnknownCheck
 from .forms import MonomialForm
-from .gallery import PlanStep, Scenario, build_preset, list_presets
+from .gallery import PlanStep, Scenario, _to_int, _to_rational, build_preset, list_presets
 from .monomials import MonomialIdeal
 from .sequence import ParameterFrame
 from .values import RealBasis, ValueVector
@@ -81,25 +81,6 @@ def _canonical(obj, width: Fraction):
 # -- config parsing --------------------------------------------------------------
 
 
-def _to_int(spec, where: str) -> int:
-    """A JSON integer or decimal string; bools and floats are refused, not truncated."""
-    try:
-        if isinstance(spec, (int, str)) and not isinstance(spec, bool):
-            return int(spec)
-    except ValueError:
-        pass
-    raise ConfigError(f"{where}: not an integer: {spec!r}")
-
-
-def _to_rational(spec, where: str) -> Fraction:
-    if isinstance(spec, bool) or isinstance(spec, float):
-        raise ConfigError(f"{where}: write rationals as strings like \"3/4\"")
-    try:
-        return Fraction(str(spec))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: not a rational: {spec!r}") from exc
-
-
 def _parse_value(basis: RealBasis, spec, where: str) -> ValueVector:
     if isinstance(spec, list):
         if len(spec) != basis.size:
@@ -111,16 +92,12 @@ def _parse_value(basis: RealBasis, spec, where: str) -> ValueVector:
 
 
 def _parse_basis(spec) -> RealBasis:
-    """Radicands are read by ``_to_int``; basis errors become ConfigError."""
     if not isinstance(spec, list):
         raise ConfigError(f"basis: must be a list of generators, got {spec!r}")
     gens = [{"sqrt": _to_int(g["sqrt"], f"basis[{i}].sqrt")}
             if isinstance(g, dict) and set(g) == {"sqrt"} else g
             for i, g in enumerate(spec)]
-    try:
-        return RealBasis.from_obj(gens)
-    except ValueError as exc:
-        raise ConfigError(f"basis: {exc}") from exc
+    return RealBasis.from_obj(gens)
 
 
 def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
@@ -159,88 +136,51 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
     return tuple(steps)
 
 
-# each integer option with its least meaningful value
-_INT_OPTIONS = {"chain_length": 1, "n_ideals": 1, "word_cap": 1, "max_degree": 1,
-                "ratio_steps": 1, "prefix_cap": 1, "tau_max_steps": 0}
-_OPTIONS = {"small_threshold", "windows", "ratio_f", "ratio_g", *_INT_OPTIONS}
-
-
-def _parse_options(obj, dim: int) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError("options must be an object")
-    unknown = sorted(set(obj) - _OPTIONS)
-    if unknown:
-        raise ConfigError(f"options: unknown keys {unknown}")
-    options = dict(obj)
-    if "small_threshold" in options:
-        options["small_threshold"] = t = _to_rational(
-            options["small_threshold"], "options.small_threshold")
-        if t <= 0:
-            raise ConfigError(f"options.small_threshold: must be > 0, got {t}")
-    for key, least in _INT_OPTIONS.items():
-        if key in options:
-            options[key] = n = _to_int(options[key], f"options.{key}")
-            if n < least:
-                raise ConfigError(f"options.{key}: must be >= {least}, got {n}")
-    if "windows" in options:
-        windows = options["windows"]
-        if isinstance(windows, list):
-            windows = [_to_int(w, f"options.windows[{i}]")
-                       for i, w in enumerate(windows)]
-        if not isinstance(windows, list) or min(windows, default=0) < 0:
-            raise ConfigError("options.windows: must be a list of integers >= 0")
-        options["windows"] = windows
-    for key in ("ratio_f", "ratio_g"):
-        if key in options:
-            monos = options[key]
-            if not isinstance(monos, list) or not all(
-                    isinstance(m, list) and len(m) == dim for m in monos):
-                raise ConfigError(f"options.{key}: must be a list of lists of {dim} exponents")
-            options[key] = [tuple(_to_int(e, f"options.{key}") for e in m)
-                            for m in monos]
-            if any(e < 0 for m in options[key] for e in m):
-                raise ConfigError(f"options.{key}: exponents must be >= 0")
-    return options
-
-
 def scenario_from_config(cfg: dict) -> Scenario:
     steps = None if cfg.get("steps") is None else _to_int(cfg["steps"], "steps")
+    seed = None if cfg.get("seed") is None else _to_int(cfg["seed"], "seed")
     if "preset" in cfg:
-        kwargs = dict(cfg.get("preset_options") or {})
-        if "d" in kwargs:
-            kwargs["d"] = _to_int(kwargs["d"], "preset_options.d")
-        return build_preset(cfg["preset"], steps=steps,
-                            seed=cfg.get("seed"), **kwargs)
+        options = cfg.get("preset_options") or {}
+        if not isinstance(options, dict) or {"steps", "seed"} & set(options):
+            raise ConfigError("preset_options must be an object without the "
+                              "top-level fields \"steps\" and \"seed\"")
+        return build_preset(cfg["preset"], steps=steps, seed=seed, **options)
     for key in ("dimension", "frame"):
         if key not in cfg:
             raise ConfigError(f"inline scenario needs {key!r} (or use a preset)")
     dim = _to_int(cfg["dimension"], "dimension")
     if dim < 1:
         raise ConfigError(f"dimension: must be >= 1, got {dim}")
-    basis = (_parse_basis(cfg["basis"]) if "basis" in cfg
-             else RealBasis.default(dim))
-    frame_spec = cfg["frame"]
-    if not isinstance(frame_spec, list) or len(frame_spec) != dim:
-        raise ConfigError(f"frame must list {dim} values")
-    values = [_parse_value(basis, s, f"frame[{i}]")
-              for i, s in enumerate(frame_spec)]
-    frame = ParameterFrame(values, names=cfg.get("names"))
-    mode = cfg.get("mode", "argmin")
-    name = cfg.get("name", "scenario")
-    if mode == "argmin":
-        if steps is not None and steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {steps}")
-        return Scenario(name=name, frame=frame, mode="argmin",
-                        steps=steps or 0,
-                        seed=cfg.get("seed"))
-    if mode == "scripted":
-        plan = _parse_plan(basis, cfg.get("plan", []), dim)
-        boundaries = tuple(_to_int(b, f"boundaries[{i}]")
-                           for i, b in enumerate(cfg.get("boundaries", ())))
-        return Scenario(name=name, frame=frame, mode="scripted", plan=plan,
-                        boundaries=boundaries, seed=cfg.get("seed"))
+    names = cfg.get("names")
+    if names is not None and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ConfigError("names: must be a list of strings")
+    field = "basis"  # a ValueError building the inline scenario names it
+    try:
+        basis = (_parse_basis(cfg["basis"]) if "basis" in cfg
+                 else RealBasis.default(dim))
+        field = "frame"
+        frame_spec = cfg["frame"]
+        if not isinstance(frame_spec, list) or len(frame_spec) != dim:
+            raise ConfigError(f"frame must list {dim} values")
+        values = [_parse_value(basis, s, f"frame[{i}]")
+                  for i, s in enumerate(frame_spec)]
+        frame = ParameterFrame(values, names=names)
+        mode = cfg.get("mode", "argmin")
+        name = cfg.get("name", "scenario")
+        if mode == "argmin":
+            if steps is not None and steps < 1:
+                raise ConfigError(f"steps: must be >= 1, got {steps}")
+            return Scenario(name=name, frame=frame, mode="argmin",
+                            steps=steps or 0, seed=seed)
+        if mode == "scripted":
+            plan = _parse_plan(basis, cfg.get("plan", []), dim)
+            boundaries = tuple(_to_int(b, f"boundaries[{i}]")
+                               for i, b in enumerate(cfg.get("boundaries", ())))
+            return Scenario(name=name, frame=frame, mode="scripted", plan=plan,
+                            boundaries=boundaries, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
     raise ConfigError(f"unknown mode {mode!r} (use \"argmin\" or \"scripted\")")
 
 
@@ -391,7 +331,8 @@ def cmd_run(args) -> int:
     if args.checks is not None:
         check_ids = (list_checks() if args.checks == "all"
                      else [c for c in args.checks.split(",") if c])
-    options = _parse_options(cfg.get("options"), scenario.frame.dim)
+    options = cfg.get("options")
+    parse_options(options, scenario.frame.dim)  # refused before the replay
 
     output = cfg.get("output") or {}
     width = DEFAULT_WIDTH

@@ -21,6 +21,31 @@ from .sequence import ParameterFrame, SequenceState, prefix_dominance
 from .values import RealBasis, ValueVector
 
 
+def _to_int(spec, where: str) -> int:
+    """A JSON integer or decimal string; bools and floats are refused, not truncated."""
+    try:
+        if isinstance(spec, (int, str)) and not isinstance(spec, bool):
+            return int(spec)
+    except ValueError:
+        pass
+    raise ConfigError(f"{where}: not an integer: {spec!r}")
+
+
+def _to_rational(spec, where: str) -> Fraction:
+    if isinstance(spec, bool) or isinstance(spec, float):
+        raise ConfigError(f"{where}: write rationals as strings like \"3/4\"")
+    try:
+        return Fraction(str(spec))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: not a rational: {spec!r}") from exc
+
+
+def _to_bool(spec, where: str) -> bool:
+    if isinstance(spec, bool):
+        return spec
+    raise ConfigError(f"{where}: not a boolean: {spec!r}")
+
+
 @dataclass(frozen=True)
 class PlanStep:
     """One plan instruction: a monomial step (possibly bulk) or a rescale."""
@@ -363,7 +388,7 @@ def diagonal_frame(coeffs: Sequence[Fraction]) -> ParameterFrame:
     return ParameterFrame(values)
 
 
-def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
+def gen_random_independent(d: int = 3, seed: int = 0, steps: int = 200) -> Scenario:
     """Random frame c0, c1*sqrt(p1), ..., over distinct primes: argmin-driven.
 
     One slot is a plain rational; every other gets its own square-root
@@ -398,38 +423,38 @@ def gen_random_independent(d: int, seed: int, steps: int = 200) -> Scenario:
     )
 
 
-PRESETS: dict[str, Callable[..., Scenario]] = {
-    "shannon-4.18": gen_shannon_418,
-    "rr1": gen_notunion_rr1,
-    "gmr-7.13": gen_713,
-    "gmr-7.14": gen_714,
-    "dvr": gen_dvr,
-    "random": gen_random_independent,
+# name: (generator, the parameter ``steps`` sets, a reader per declared option)
+PRESETS: dict[str, tuple[Callable[..., Scenario], str, dict]] = {
+    "shannon-4.18": (gen_shannon_418, "episodes", {}),
+    "rr1": (gen_notunion_rr1, "steps", {"embed3d": _to_bool}),
+    "gmr-7.13": (gen_713, "episodes", {}),
+    "gmr-7.14": (gen_714, "episodes", {}),
+    "dvr": (gen_dvr, "steps", {"d": _to_int}),
+    "random": (gen_random_independent, "steps", {"d": _to_int, "seed": _to_int}),
 }
 
 
-def build_preset(name: str, steps: int | None = None,
-                 seed: int | None = None, **kwargs) -> Scenario:
-    """Instantiate a preset by name, mapping the generic CLI knobs onto
-    whatever the generator actually takes."""
+def build_preset(name: str, /, steps: int | None = None,
+                 seed: int | None = None, **options) -> Scenario:
+    """Instantiate a preset: ``steps`` sets its count parameter, ``seed``
+    its seed (ignored by a preset without one), ``options`` its declared
+    options; an undeclared or mistyped option raises ConfigError.  What is
+    left unset takes the generator's default."""
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    generator, count, declared = PRESETS[name]
+    unknown = sorted(set(options) - set(declared))
+    if unknown:
+        raise ConfigError(f"preset_options: unknown keys {unknown} for preset {name!r}")
+    kwargs = {key: declared[key](value, f"preset_options.{key}")
+              for key, value in options.items()}
     # an explicit 0 reaches the generator's own ">= 1" check
-    n = ({"dvr": 1000, "random": 200, "rr1": 40}.get(name, 20)
-         if steps is None else steps)
-    if name == "shannon-4.18":
-        return gen_shannon_418(episodes=n)
-    if name == "rr1":
-        return gen_notunion_rr1(steps=n, **kwargs)
-    if name == "gmr-7.13":
-        return gen_713(episodes=n)
-    if name == "gmr-7.14":
-        return gen_714(episodes=n)
-    if name == "dvr":
-        return gen_dvr(d=kwargs.pop("d", 2), steps=n)
-    return gen_random_independent(
-        d=kwargs.pop("d", 3), seed=seed if seed is not None else 0, steps=n)
+    if steps is not None:
+        kwargs[count] = _to_int(steps, "steps")
+    if seed is not None and "seed" in declared:
+        kwargs["seed"] = _to_int(seed, "seed")
+    return generator(**kwargs)
 
 
 def list_presets() -> list[str]:

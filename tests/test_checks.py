@@ -1,16 +1,18 @@
 """The check registry: verdicts, applicability gating, and explanations."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from quadseq import checks, forms, sequence
+from quadseq import checks, forms, sequence, videals
 from quadseq.checks import (
     CHECKS,
     collect_artifacts,
     explain,
     frame_rationally_independent,
     list_checks,
+    parse_options,
     run_checks,
 )
 from quadseq.errors import ConfigError, UnknownCheck
@@ -161,6 +163,29 @@ def test_explanations_cover_registry():
         assert cid.split("-")[0] not in ("",)
 
 
+@pytest.mark.parametrize("options, needle", [
+    # an empty chain used to pass, a misspelt key to run with the default
+    ({"chain_length": 0}, "options.chain_length: must be >= 1, got 0"),
+    ({"n_ideals": 0}, "options.n_ideals: must be >= 1, got 0"),
+    ({"chain_lenght": 3}, "options: unknown keys ['chain_lenght']"),
+], ids=["chain-length", "n-ideals", "misspelt"])
+def test_library_options_are_held_to_the_config_rules(options, needle):
+    sc = build_preset("random", steps=50, seed=2)
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        run_checks(sc, ["videal-chain", "tau-bound"], options)
+
+
+def test_parse_options_fills_defaults_and_takes_library_forms():
+    options = parse_options({"ratio_f": ((0, 1, 0),), "windows": (1, 3),
+                             "small_threshold": F(1, 1000)}, 3)
+    assert set(options) == set(checks.OPTIONS)
+    assert options["ratio_f"] == [(0, 1, 0)]
+    assert options["windows"] == [1, 3]
+    assert options["small_threshold"] == F(1, 1000)
+    assert options["chain_length"] == 12 and options["ratio_g"] is None
+    assert parse_options(None, 2) == {k: d for k, (d, _) in checks.OPTIONS.items()}
+
+
 def test_artifacts_boundary_sums_align():
     sc = gen_713(episodes=5)
     art = collect_artifacts(sc)
@@ -169,16 +194,14 @@ def test_artifacts_boundary_sums_align():
 
 
 def test_eq631_fails_from_the_first_broken_record(monkeypatch):
-    monkeypatch.setattr(SequenceState, "conservation_check",
-                        lambda self: self.step_count < 3)
+    _conservation_breaks_at_record_3(monkeypatch, None)
     (res,) = run_checks(gen_random_independent(3, 5, steps=10), ["eq631"])
     assert res.verdict == "fail"
     assert res.detail["first_failure_at"] == 3
 
 
 def test_bound63_fails_from_the_first_broken_record(monkeypatch):
-    monkeypatch.setattr(SequenceState, "bound_gap_sign",
-                        lambda self: 1 if self.step_count < 3 else 0)
+    _ceiling_breaks_at_record_3(monkeypatch, None)
     (res,) = run_checks(gen_random_independent(3, 5, steps=10), ["bound63"])
     assert res.verdict == "fail"
     assert res.detail["first_failure_at"] == 3
@@ -288,6 +311,46 @@ def _run_count_off_by_one(monkeypatch, sc):
                         lambda m, direction, count=1: rewrite(m, direction, count - 1))
 
 
+def _tau_bound_one_too_long(monkeypatch, sc):
+    tau = checks.tau_bound
+    monkeypatch.setattr(checks, "tau_bound", lambda *args, **kw: tau(*args, **kw) + 1)
+
+
+def _chain_drops_a_rung(monkeypatch, sc):
+    chain_of = videals.videal_chain
+
+    def mutant(frame, count):
+        # rung 2 left out and the rest renumbered: still descending, each
+        # threshold still the value of its ideal
+        chain = chain_of(frame, count + 1)
+        del chain[2]
+        for n, entry in enumerate(chain):
+            entry["n"] = n
+        return chain
+
+    # the videal-chain check reads its own imported name
+    monkeypatch.setattr(videals, "videal_chain", mutant)
+    monkeypatch.setattr(checks, "videal_chain", mutant)
+
+
+def _conservation_breaks_at_record_3(monkeypatch, sc):
+    monkeypatch.setattr(SequenceState, "conservation_check",
+                        lambda self: self.step_count < 3)
+
+
+def _ceiling_breaks_at_record_3(monkeypatch, sc):
+    monkeypatch.setattr(SequenceState, "bound_gap_sign",
+                        lambda self: 1 if self.step_count < 3 else 0)
+
+
+def _tight_frame():
+    # every value below twice the smallest, so remark 4.17.5 applies
+    basis = RealBasis.default(1)
+    return Scenario("tight", ParameterFrame(
+        [basis.rational(1), basis.rational(F(9, 8)), basis.rational(F(5, 4))]),
+        mode="argmin")
+
+
 MUTANTS = {
     "thm33a": (lambda: gen_random_independent(3, 5, steps=10),
                _antichain_degree_off_by_one),
@@ -296,7 +359,23 @@ MUTANTS = {
     "series-sum": (lambda: gen_shannon_418(episodes=5), _law_drops_the_last_episode),
     "change-of-direction": (lambda: gen_random_independent(3, 5, steps=10),
                             _run_count_off_by_one),
+    "tau-bound": (lambda: gen_random_independent(3, 5, steps=10),
+                  _tau_bound_one_too_long),
+    "remark4175": (_tight_frame, _chain_drops_a_rung),
+    "videal-chain": (lambda: gen_random_independent(3, 5, steps=10), _chain_drops_a_rung),
+    "eq631": (lambda: gen_random_independent(3, 5, steps=10),
+              _conservation_breaks_at_record_3),
+    "bound63": (lambda: gen_random_independent(3, 5, steps=10),
+                _ceiling_breaks_at_record_3),
 }
+
+# ratio-limit cannot fail yet (its trace always has the asked length) and
+# switching-witness has no fail branch
+CANNOT_FAIL = {"ratio-limit", "switching-witness"}
+
+
+def test_every_check_that_can_fail_has_a_mutant():
+    assert set(list_checks()) - set(MUTANTS) == CANNOT_FAIL
 
 
 @pytest.mark.parametrize("check", sorted(MUTANTS))

@@ -341,6 +341,70 @@ def test_zero_steps_reaches_the_preset_check(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("cfg, needle", [
+    # each of these used to run, or escape main as a raw TypeError
+    ({"preset": "shannon-4.18", "preset_options": {"d": 3}},
+     "preset_options: unknown keys ['d'] for preset 'shannon-4.18'"),
+    ({"preset": "rr1", "preset_options": {"embed3d": "no"}},
+     "preset_options.embed3d: not a boolean: 'no'"),
+    ({"preset": "rr1", "preset_options": {"bogus": 1}},
+     "preset_options: unknown keys ['bogus'] for preset 'rr1'"),
+    ({"preset": "dvr", "preset_options": {"steps": 5}},
+     'preset_options must be an object without the top-level fields "steps" and "seed"'),
+    ({"preset": "dvr", "preset_options": [1]},
+     'preset_options must be an object without the top-level fields "steps" and "seed"'),
+], ids=["shannon-d", "rr1-embed3d-string", "rr1-bogus", "dvr-steps", "dvr-not-an-object"])
+def test_bad_preset_options_exit_two(tmp_path, capsys, cfg, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 4, **cfg}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {needle}" in err
+    assert "Traceback" not in err
+
+
+_FIFTEEN = [str(n) for n in range(1, 16)]
+_NO_UNIT = [{"sqrt": 2}, {"sqrt": 3}]
+
+
+@pytest.mark.parametrize("cfg, needle", [
+    # each of these used to escape main as a raw ValueError
+    ({"dimension": 15, "frame": _FIFTEEN},
+     "basis: default basis supports at most 13 generators"),
+    ({"dimension": 2, "basis": _NO_UNIT, "frame": ["1", "2"]},
+     "frame: basis has no rational unit generator"),
+    ({"dimension": 2, "basis": _NO_UNIT, "frame": [["1", "0"], ["0", "1"]],
+      "mode": "scripted", "plan": [{"kind": "rescale", "values": ["1", "2"]}]},
+     "frame: basis has no rational unit generator"),
+    ({"dimension": 2, "frame": ["1", "3/2"], "names": ["a"]},
+     "frame: one name per direction required"),
+    ({"dimension": 2, "frame": ["1", "3/2"], "names": ["a", "a"]},
+     "frame: direction names must be distinct"),
+    # this one used to escape as a raw TypeError
+    ({"dimension": 2, "frame": ["1", "3/2"], "names": 5},
+     "names: must be a list of strings"),
+], ids=["fifteen-default", "frame-rational-no-unit", "rescale-rational-no-unit",
+        "names-short", "names-repeated", "names-not-a-list"])
+def test_inline_build_faults_exit_two(tmp_path, capsys, cfg, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {needle}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [1.5, "abc"])
+def test_config_seed_is_an_integer(tmp_path, capsys, seed):
+    # 1.5 used to land in report.json as a float, "abc" to seed the draws
+    for cfg in ({"dimension": 2, "frame": ["1", "3/2"], "steps": 2},
+                {"preset": "random", "steps": 5}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "seed": seed}))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"config error: seed: not an integer: {seed!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("checks", [["--checks", "all"], []])
 def test_run_replays_the_scenario_once(monkeypatch, tmp_path, checks):
     real = gallery.replay_states

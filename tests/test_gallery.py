@@ -290,6 +290,25 @@ def test_build_preset_unknown():
         build_preset("nope")
 
 
+@pytest.mark.parametrize("name, options", [
+    ("shannon-4.18", {"d": 3}),  # used to be ignored
+    ("rr1", {"embed3d": "no"}),  # used to run the 3-direction embedding
+    ("dvr", {"d": 2.5}),
+    ("gmr-7.13", {"episodes": 3}),  # the count is set through steps
+], ids=["shannon-d", "rr1-embed3d", "dvr-d", "gmr-episodes"])
+def test_build_preset_refuses_undeclared_or_mistyped_options(name, options):
+    with pytest.raises(ConfigError):
+        build_preset(name, steps=2, **options)
+
+
+def test_build_preset_defaults_and_seed():
+    assert build_preset("rr1").plan == gen_notunion_rr1().plan
+    assert build_preset("random").frame.values == gen_random_independent(3, 0).frame.values
+    assert build_preset("rr1", steps=6, embed3d=True).dim == 3
+    # a preset that draws nothing ignores the seed, as --seed does
+    assert build_preset("dvr", steps=4, seed=9).plan == gen_dvr(steps=4).plan
+
+
 def test_bad_script_fails_loudly():
     sc = gen_shannon_418(episodes=1)
     bad = Scenario(
