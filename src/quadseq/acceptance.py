@@ -10,7 +10,8 @@ Criteria 1-6 and 8-10 decide through the check registry, the code that
 ``quadseq run --checks`` runs: 1 and 2 read ``eq631`` and ``bound63``,
 3-5 ``series-sum``, 6 the ``thm33a`` rule ``forms.order_drop_verdict``,
 8 ``videal-chain``, 9 ``tau-bound``, 10 ``prop344`` and
-``change-of-direction``, beside oracles of their own such as the laws of 3-5.
+``change-of-direction``, beside oracles of their own such as the laws of
+3-5.  Criterion 7 reads the bracketing ``forms.power_bracketing_report``.
 
 Criterion 2 fails by design of the world, not of the code: its collapse
 certificate asks every run's frame to shrink below 1e-6, but runs in
@@ -37,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .checks import CheckResult, RunArtifacts, collect_artifacts, run_checks
-from .forms import MonomialForm, order_drop_report, order_drop_verdict, ratio_limit_report
+from .forms import (MonomialForm, order_drop_report, order_drop_verdict,
+                    power_bracketing_report, ratio_limit_report)
 from .gallery import (
     _FRACTION_POOL,
     Scenario,
@@ -50,8 +52,8 @@ from .gallery import (
     gen_shannon_418,
     replay_states,
 )
-from .monomials import monomial_value, rewrite_monomial
-from .sequence import ParameterFrame, SequenceState, argmin_word
+from .monomials import monomial_value
+from .sequence import ParameterFrame, SequenceState
 from .values import RealBasis
 from .videals import enumerate_values, videal_at, videal_chain
 
@@ -298,9 +300,8 @@ def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
     basis = RealBasis.default(2)
     frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
-    rep = ratio_limit_report(
-        frame, MonomialForm([(0, 1)]), MonomialForm([(1, 0)]), 60
-    )
+    f, g = MonomialForm([(0, 1)]), MonomialForm([(1, 0)])
+    rep = ratio_limit_report(frame, f, g, 60)
 
     def close(p: int, q: int) -> bool:
         # |p/q - sqrt(2)| < 1/1000, settled in integers
@@ -316,26 +317,21 @@ def criterion_7() -> CriterionResult:
             break
         n0 = i + 1
     # bracketing as in the limit argument: p = floor(q*sqrt(2)); whenever
-    # both power quotients f^q/g^p and g^(p+1)/f^q lie in the current ring
-    # (monomial divisibility both ways), the order ratio must land in
-    # [p/q, (p+1)/q) -- checked in integers at every reported step
-    mf, mg = (0, 1), (1, 0)
-    fired = {q: 0 for q in range(1, 13)}
+    # both power quotients f^q/g^p and g^(p+1)/f^q lie in the current ring,
+    # the order ratio must land in [p/q, (p+1)/q) -- checked in integers
+    # at every reported step, on orders that match the ratio trace
+    orders = [(e["ordF"], e["ordG"]) for e in rep["trace"]]
+    fired = {}
     bracket_ok = True
     orders_match = True
-    for entry, w in zip(rep["trace"], argmin_word(frame)):
-        mf, mg = rewrite_monomial(mf, w), rewrite_monomial(mg, w)
-        pf, qg = entry["ordF"], entry["ordG"]
-        if pf != sum(mf) or qg != sum(mg):
-            orders_match = False
-        for q in fired:
-            p = math.isqrt(2 * q * q)
-            f_over_g = all(q * a >= p * b for a, b in zip(mf, mg))
-            g_over_f = all((p + 1) * b >= q * a for a, b in zip(mf, mg))
-            if f_over_g and g_over_f:
-                fired[q] += 1
-                if not (p * qg <= q * pf < (p + 1) * qg):
-                    bracket_ok = False
+    for q in range(1, 13):
+        p = math.isqrt(2 * q * q)
+        rows = power_bracketing_report(frame, f, g, p, q, 60)
+        orders_match = orders_match and [(r["ordF"], r["ordG"]) for r in rows] == orders
+        hits = [r for r in rows if r["lower_divides"] and r["divides_upper"]]
+        fired[q] = len(hits)
+        bracket_ok = bracket_ok and all(
+            p * r["ordG"] <= q * r["ordF"] < (p + 1) * r["ordG"] for r in hits)
     every_q_fired = all(c > 0 for c in fired.values())
     lim = rep["limit"]
     lo = Fraction(lim["interval"]["lo"]) if lim["kind"] == "irrational" else None

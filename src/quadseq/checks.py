@@ -272,7 +272,7 @@ def _check_ratio_limit(art: RunArtifacts, options: dict) -> CheckResult:
     dim = sc.frame.dim
     f_sup = options["ratio_f"] or [tuple(1 if i == 1 else 0 for i in range(dim))]
     g_sup = options["ratio_g"] or [tuple(1 if i == 0 else 0 for i in range(dim))]
-    steps = min(options["ratio_steps"], sc.steps or 40)
+    steps = min(options["ratio_steps"], sc.steps or options["ratio_steps"])
     try:
         report = ratio_limit_report(
             sc.frame, MonomialForm(f_sup, dim), MonomialForm(g_sup, dim), steps)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import acceptance
-from .checks import (CheckResult, RunArtifacts, collect_artifacts, explain,
+from .checks import (CHECKS, CheckResult, RunArtifacts, collect_artifacts, explain,
                      list_checks, parse_options, run_checks)
 from .errors import ConfigError, QuadseqError, UnknownCheck
 from .forms import MonomialForm
@@ -38,6 +38,10 @@ from .sequence import ParameterFrame
 from .values import RealBasis, ValueVector
 
 DEFAULT_WIDTH = Fraction(1, 10**6)
+
+# every top-level field a config may hold; any other key is refused
+FIELDS = ("preset", "preset_options", "steps", "seed", "name", "dimension", "basis",
+          "names", "frame", "mode", "plan", "boundaries", "checks", "options", "output")
 
 
 # -- canonical serialization ----------------------------------------------------
@@ -168,6 +172,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         frame = ParameterFrame(values, names=names)
         mode = cfg.get("mode", "argmin")
         name = cfg.get("name", "scenario")
+        if not isinstance(name, str):
+            raise ConfigError("name: must be a string")
         if mode == "argmin":
             if steps is not None and steps < 1:
                 raise ConfigError(f"steps: must be >= 1, got {steps}")
@@ -175,8 +181,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
                             steps=steps or 0, seed=seed)
         if mode == "scripted":
             plan = _parse_plan(basis, cfg.get("plan", []), dim)
-            boundaries = tuple(_to_int(b, f"boundaries[{i}]")
-                               for i, b in enumerate(cfg.get("boundaries", ())))
+            boundaries = cfg.get("boundaries", [])
+            if not isinstance(boundaries, list):
+                raise ConfigError("boundaries: must be a list of integers")
+            boundaries = tuple(_to_int(b, f"boundaries[{i}]") for i, b in enumerate(boundaries))
             return Scenario(name=name, frame=frame, mode="scripted", plan=plan,
                             boundaries=boundaries, seed=seed)
     except ValueError as exc:
@@ -317,6 +325,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(cfg) - set(FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown fields {unknown}")
         source = f"config:{os.path.basename(args.config)}"
     else:
         cfg = {"preset": args.preset}
@@ -328,13 +339,21 @@ def cmd_run(args) -> int:
 
     scenario = scenario_from_config(cfg)
     check_ids = cfg.get("checks", [])
+    if not isinstance(check_ids, list) or not all(isinstance(c, str) for c in check_ids):
+        raise ConfigError("checks: must be a list of check ids")
     if args.checks is not None:
         check_ids = (list_checks() if args.checks == "all"
                      else [c for c in args.checks.split(",") if c])
+    for cid in check_ids:  # an unknown id is refused before the replay
+        if cid not in CHECKS:
+            raise UnknownCheck(cid)
     options = cfg.get("options")
     parse_options(options, scenario.frame.dim)  # refused before the replay
 
-    output = cfg.get("output") or {}
+    output = cfg.get("output", {})
+    if (not isinstance(output, dict) or set(output) - {"json", "csv", "interval_width"}
+            or not all(isinstance(output.get(k, ""), str) for k in ("json", "csv"))):
+        raise ConfigError("output: takes only the strings json and csv and interval_width")
     width = DEFAULT_WIDTH
     if "interval_width" in output:
         width = _to_rational(output["interval_width"], "output.interval_width")

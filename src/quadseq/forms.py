@@ -322,11 +322,12 @@ def power_bracketing_report(
     q: int,
     steps: int,
 ) -> list[dict]:
-    """Monomial membership tests for f^q / g^p along the argmin word.
+    """The two power quotients of the limit argument along the argmin word.
 
-    Works for singleton supports: after n steps, f^q sits in g^p times the
-    ring iff q * rewritten(f) >= p * rewritten(g) componentwise.  Each
-    entry also reports the same test against g^(p+1).
+    Singleton supports only: after n steps, ``lower_divides`` says f^q/g^p
+    lies in the ring (q * rewritten(f) >= p * rewritten(g) componentwise)
+    and ``divides_upper`` that g^(p+1)/f^q does; where both hold,
+    p * ordG <= q * ordF <= (p + 1) * ordG.
     """
     if len(f.support) != 1 or len(g.support) != 1:
         raise ValueError("power bracketing needs singleton supports")
@@ -334,14 +335,14 @@ def power_bracketing_report(
     out = []
     for n, (mf, mg) in enumerate(itertools.islice(images, steps), 1):
         lower = all(q * a >= p * b for a, b in zip(mf, mg))
-        upper = all(q * a >= (p + 1) * b for a, b in zip(mf, mg))
+        upper = all((p + 1) * b >= q * a for a, b in zip(mf, mg))
         out.append(
             {
                 "n": n,
                 "ordF": sum(mf),
                 "ordG": sum(mg),
                 "lower_divides": lower,
-                "upper_divides": upper,
+                "divides_upper": upper,
             }
         )
     return out

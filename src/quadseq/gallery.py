@@ -110,14 +110,6 @@ def replay_states(scenario: Scenario) -> Iterator[SequenceState]:
         yield state
 
 
-def run_scenario(scenario: Scenario) -> SequenceState:
-    """Replay the whole plan and return the final state."""
-    state = None
-    for state in replay_states(scenario):
-        pass
-    return state or SequenceState.from_frame(scenario.frame)
-
-
 def _rat_frame(basis: RealBasis, values: Sequence[Fraction | int],
                names: Sequence[str] | None = None) -> ParameterFrame:
     return ParameterFrame([basis.rational(v) for v in values], names=names)
@@ -440,7 +432,7 @@ def build_preset(name: str, /, steps: int | None = None,
     its seed (ignored by a preset without one), ``options`` its declared
     options; an undeclared or mistyped option raises ConfigError.  What is
     left unset takes the generator's default."""
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     generator, count, declared = PRESETS[name]

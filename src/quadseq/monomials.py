@@ -171,12 +171,6 @@ def transform_ideal(ideal: MonomialIdeal, direction: int) -> MonomialIdeal:
     return MonomialIdeal(strip_rewrite(ideal.generators, direction), dim=ideal.dim)
 
 
-def transform_word(ideal: MonomialIdeal, word: Sequence[int]) -> MonomialIdeal:
-    for w in word:
-        ideal = transform_ideal(ideal, w)
-    return ideal
-
-
 def extend_ideal(ideal: MonomialIdeal, word: Sequence[int]) -> MonomialIdeal:
     """Extension of the ideal along a word: rewrite generators, no strip."""
     gens = [rewrite_word(g, word) for g in ideal.generators]
@@ -191,10 +185,6 @@ def rewrite_matrix(word: Sequence[int], dim: int) -> tuple[tuple[int, ...], ...]
         # left-multiply by the elementary factor whose w-th row sums everything
         rows[w] = [sum(rows[i][j] for i in range(dim)) for j in range(dim)]
     return tuple(tuple(r) for r in rows)
-
-
-def apply_matrix(matrix: Sequence[Sequence[int]], m: Monomial) -> Monomial:
-    return tuple(sum(row[j] * m[j] for j in range(len(m))) for row in matrix)
 
 
 def _value_columns(frame_values: Sequence[ValueVector]):

@@ -37,7 +37,7 @@ import operator
 from typing import Sequence, Union
 
 from .errors import CensusTooLarge, NotTerminated
-from .monomials import Monomial, MonomialIdeal, extend_ideal, least_value, monomial_value
+from .monomials import Monomial, MonomialIdeal, extend_ideal, least_value
 from .sequence import ParameterFrame, argmin_word
 from .values import ValueVector, _common_den, settled_shadows, shadow
 
@@ -242,14 +242,6 @@ def ideal_value(frame: FrameLike, ideal: MonomialIdeal) -> ValueVector:
     return least_value(_values_of(frame), ideal.generators)
 
 
-def colength_step(frame: FrameLike, threshold: ValueVector) -> int:
-    """Number of monomials whose value equals the threshold exactly."""
-    data = _FrameData(frame)
-    row = tuple(n * data.den for n in threshold._nums)
-    return sum(tuple(r * threshold._den for r in node[1]) == row
-               for node in data.below(threshold, strict=False)[0])
-
-
 def videal_chain(frame: FrameLike, count: int) -> list[dict]:
     """The first ``count`` valuation ideals: R, then {v > t_n} repeatedly.
 
@@ -274,29 +266,6 @@ def videal_chain(frame: FrameLike, count: int) -> list[dict]:
             for m in monos:
                 _absorb(inside, corners, m)
     return out
-
-
-def membership_index(frame: FrameLike, chain: list[dict], m: Monomial) -> tuple[int, int]:
-    """Largest chain index containing the monomial, two independent ways.
-
-    Returns ``(by_ideal, by_threshold)``: the first scans generator
-    divisibility down the chain, the second compares v(m) against the
-    thresholds.  They must agree for honest valuation ideals.
-    """
-    by_ideal = -1
-    for entry in chain:
-        if entry["ideal"].contains(m):
-            by_ideal = entry["n"]
-        else:
-            break
-    vm = monomial_value(_values_of(frame), m)
-    by_threshold = -1
-    for entry in chain:
-        if vm.cmp(entry["threshold"]) >= 0:
-            by_threshold = entry["n"]
-        else:
-            break
-    return by_ideal, by_threshold
 
 
 def tau_bound(frame: FrameLike, n_ideals: int, max_steps: int = 10_000) -> int:

@@ -8,7 +8,7 @@ there.  The criterion is implemented as stated and left red on purpose;
 see its summary line for the per-dimension tally.
 """
 
-from quadseq import acceptance
+from quadseq import acceptance, forms
 
 # the verdict lines that carry no wall time, exactly as the criteria print them
 PINNED_LINES = {
@@ -83,6 +83,19 @@ def test_criterion_06_order_drop_dichotomy_exhaustive():
 
 def test_criterion_07_order_ratio_sqrt2_with_bracketing():
     _run(7)
+
+
+def test_criterion_07_fails_on_orders_off_the_ratio_trace(monkeypatch):
+    # the bracketing rows must carry the orders of ratio_limit_report's trace
+    def off_by_one(*args):
+        rows = forms.power_bracketing_report(*args)
+        rows[20]["ordF"] += 1
+        return rows
+
+    monkeypatch.setattr(acceptance, "power_bracketing_report", off_by_one)
+    res = acceptance.criterion_7()
+    assert not res.ok
+    assert res.detail["orders_match"] is False
 
 
 def test_criterion_08_videal_chains_and_contraction_membership():

@@ -143,6 +143,19 @@ def test_ratio_limit_not_applicable_for_scripted():
     assert res.verdict == "not applicable"
 
 
+def test_ratio_steps_caps_a_run_without_a_step_budget():
+    basis = RealBasis.default(2)
+    frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
+    sc = Scenario("no-budget", frame, mode="argmin")
+    (res,) = run_checks(sc, ["ratio-limit"], {"ratio_steps": 50})
+    assert len(res.detail["trace"]) == 50
+    (res,) = run_checks(sc, ["ratio-limit"])
+    assert len(res.detail["trace"]) == 40
+    (res,) = run_checks(Scenario("budget", frame, mode="argmin", steps=7),
+                        ["ratio-limit"], {"ratio_steps": 50})
+    assert len(res.detail["trace"]) == 7
+
+
 def test_unknown_check_raises():
     with pytest.raises(UnknownCheck):
         run_checks(gen_dvr(steps=4), ["nope"])

@@ -405,8 +405,8 @@ def test_config_seed_is_an_integer(tmp_path, capsys, seed):
         assert f"config error: seed: not an integer: {seed!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("checks", [["--checks", "all"], []])
-def test_run_replays_the_scenario_once(monkeypatch, tmp_path, checks):
+def _count_replays(monkeypatch):
+    """The names of the scenarios replayed from now on, in a list."""
     real = gallery.replay_states
     calls = []
 
@@ -417,9 +417,63 @@ def test_run_replays_the_scenario_once(monkeypatch, tmp_path, checks):
     for name, mod in list(sys.modules.items()):
         if name.startswith("quadseq") and getattr(mod, "replay_states", None) is real:
             monkeypatch.setattr(mod, "replay_states", counting)
+    return calls
+
+
+@pytest.mark.parametrize("checks", [["--checks", "all"], []])
+def test_run_replays_the_scenario_once(monkeypatch, tmp_path, checks):
+    calls = _count_replays(monkeypatch)
     assert cli.main(["run", "--preset", "random", "--steps", "30", "--seed", "4",
                      *checks, "--out", str(tmp_path)]) == 0
     assert calls == ["random-d3-s4"]
+
+
+_SCRIPTED = {"dimension": 2, "frame": ["1", "3/2"], "mode": "scripted",
+             "plan": [{"kind": "monomial", "direction": 0}]}
+
+
+@pytest.mark.parametrize("cfg, needle", [
+    # the first two used to exit 0, one without checks and one on stdout;
+    # the third iterated the string; the rest escaped main as tracebacks
+    ({"preset": "dvr", "chekcs": ["eq631"]}, "config error: unknown fields ['chekcs']"),
+    ({"preset": "dvr", "output": {"jsn": "r.json"}}, "config error: output:"),
+    ({"preset": "dvr", "checks": "eq631"}, "config error: checks: must be a list"),
+    ({"preset": "dvr", "checks": 5}, "config error: checks: must be a list"),
+    ({"preset": "dvr", "checks": None}, "config error: checks: must be a list"),
+    ({"preset": "dvr", "checks": ["bound63", {"a": 1}]}, "config error: checks: must be a list"),
+    ({"preset": "dvr", "output": 5}, "config error: output:"),
+    ({"preset": "dvr", "output": True}, "config error: output:"),
+    ({"preset": "dvr", "output": [1]}, "config error: output:"),
+    ({"preset": "dvr", "output": "1/0"}, "config error: output:"),
+    ({"preset": "dvr", "output": {"json": 5}}, "config error: output:"),
+    ({"preset": []}, "config error: unknown preset []"),
+    ({**_SCRIPTED, "boundaries": 5}, "config error: boundaries: must be a list"),
+    ({**_SCRIPTED, "name": 5}, "config error: name: must be a string"),
+], ids=["misspelt-field", "misspelt-output-key", "checks-string", "checks-int",
+        "checks-null", "checks-non-string-id", "output-int", "output-bool",
+        "output-list", "output-string", "output-json-int", "preset-list",
+        "boundaries-int", "name-int"])
+def test_config_field_shapes_exit_two(tmp_path, capsys, cfg, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 4, **cfg}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg, flags", [
+    ({"checks": ["eq631", "bound6"]}, []),
+    ({}, ["--checks", "eq631,bound6"]),
+], ids=["config", "flag"])
+def test_a_misspelt_check_id_takes_no_replay(monkeypatch, tmp_path, capsys, cfg, flags):
+    calls = _count_replays(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "random", "steps": 30, **cfg}))
+    assert cli.main(["run", "--config", str(path), *flags]) == 2
+    assert "unknown check: bound6" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("scenario", [

@@ -196,15 +196,20 @@ def test_ratio_undefined_for_unit_denominator():
 
 
 def test_power_bracketing_onset_and_exclusion():
-    rows = power_bracketing_report(
-        frame_1_sqrt2(), MonomialForm([(0, 1)]), MonomialForm([(1, 0)]),
-        p=1414, q=1000, steps=40,
-    )
-    lower = [r["lower_divides"] for r in rows]
-    assert any(lower)
-    onset = lower.index(True)
-    assert all(lower[onset:])  # once inside, stays inside
-    assert not any(r["upper_divides"] for r in rows)
+    f, g = MonomialForm([(0, 1)]), MonomialForm([(1, 0)])
+    # p = floor(q * sqrt2): both quotients enter the ring and stay there
+    for p, q in [(1, 1), (7, 5), (16, 12), (1414, 1000)]:
+        rows = power_bracketing_report(frame_1_sqrt2(), f, g, p=p, q=q, steps=40)
+        for key in ("lower_divides", "divides_upper"):
+            flags = [r[key] for r in rows]
+            assert all(flags[flags.index(True):])  # once inside, stays inside
+        both = [r for r in rows if r["lower_divides"] and r["divides_upper"]]
+        assert both
+        for r in both:
+            assert p * r["ordG"] <= q * r["ordF"] <= (p + 1) * r["ordG"]
+    # 1415/1000 > sqrt2: f^1000 / g^1415 has negative value, never in a ring
+    rows = power_bracketing_report(frame_1_sqrt2(), f, g, p=1415, q=1000, steps=40)
+    assert not any(r["lower_divides"] for r in rows)
 
 
 def test_comparability_index_frozen():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quadseq.checks import collect_artifacts
 from quadseq.errors import ConfigError, DirectionNotMinimal
 from quadseq.gallery import (
     PRESETS,
@@ -19,7 +20,6 @@ from quadseq.gallery import (
     gen_shannon_418,
     list_presets,
     replay_states,
-    run_scenario,
 )
 from quadseq.sequence import SequenceState
 
@@ -40,7 +40,7 @@ def partial_sums(scenario):
 
 def test_shannon_episode_m_values():
     sc = gen_shannon_418(episodes=6)
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     for k in range(6):
         c = F(1, 4) ** k
         ms = [rational(final.m_value(4 * k + i)) for i in range(4)]
@@ -72,7 +72,7 @@ def test_shannon_scripted_steps_are_argmin():
 def test_shannon_limit_and_counts():
     sc = gen_shannon_418(episodes=5)
     assert sc.expected_limit == F(8, 3)
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     assert final.direction_counts() == {"x": 5, "y": 5, "z": 5}
     kinds = [r.kind for r in final.history]
     assert kinds.count("rescale") == 5
@@ -83,7 +83,7 @@ def test_shannon_limit_and_counts():
 
 def test_rr1_m_value_law():
     sc = gen_notunion_rr1(steps=20)
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     for n in range(20):
         k = n // 2
         expected = F(1, 2) ** k if n % 2 == 0 else F(1, 2) ** (k + 1)
@@ -104,7 +104,7 @@ def test_rr1_partial_sums():
 
 def test_rr1_embed3d_starves_z():
     sc = gen_notunion_rr1(steps=24, embed3d=True)
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     assert final.direction_counts()["z"] == 0
     for window in range(2, 12):
         assert final.starving_directions(window) == {"z"}
@@ -117,7 +117,7 @@ def test_713_bulk_and_single_steps_starve_alike():
         PlanStep("monomial", ps.direction) if ps.kind == "monomial" else ps
         for ps in sc.plan for _ in range(ps.count)
     ))
-    bulk, steps = run_scenario(sc), run_scenario(single)
+    bulk, steps = collect_artifacts(sc).final, collect_artifacts(single).final
     assert bulk.step_count < steps.step_count
     total = sum(bulk.direction_counts().values())
     assert total == sum(steps.direction_counts().values())
@@ -135,8 +135,8 @@ def test_rr1_embed3d_spectator_value():
 
 
 def test_rr1_embed3d_quotient_matches_plane():
-    flat = run_scenario(gen_notunion_rr1(steps=16))
-    embedded = run_scenario(gen_notunion_rr1(steps=16, embed3d=True))
+    flat = collect_artifacts(gen_notunion_rr1(steps=16)).final
+    embedded = collect_artifacts(gen_notunion_rr1(steps=16, embed3d=True)).final
     collapsed = embedded.quotient_sequence(2)
     for n in range(16):
         assert collapsed.m_value(n).coeffs == flat.m_value(n).coeffs
@@ -147,7 +147,7 @@ def test_rr1_embed3d_quotient_matches_plane():
 
 def test_713_episode_trace():
     sc = gen_713(episodes=8)
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     for n in range(8):
         c = F(1, 2) ** n
         bulk = final.history[3 * n]
@@ -192,7 +192,7 @@ def test_713_first_five_terms():
 
 def test_714_prologue_and_law():
     sc = gen_714(episodes=10)
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     prologue = [rational(final.m_value(i)) for i in range(5)]
     assert prologue == [1, 1, F(1, 2), F(1, 4), F(1, 4)]
     sums = partial_sums(sc)
@@ -222,7 +222,7 @@ def test_dvr_sum_equals_record_count():
     sc = gen_dvr(d=3, steps=60)
     for n, state in enumerate(replay_states(sc), start=1):
         assert rational(state.partial_sum) == n
-    final = run_scenario(sc)
+    final = collect_artifacts(sc).final
     assert all(rational(final.m_value(i)) == 1 for i in range(60))
 
 
@@ -254,7 +254,7 @@ def test_random_starving_reflects_argmin_runs():
     # argmin runs between switches grow, so a fixed small window can starve
     # at a given step; a window covering the whole history reports only the
     # directions never used at all
-    final = run_scenario(gen_random_independent(3, seed=1, steps=200))
+    final = collect_artifacts(gen_random_independent(3, seed=1, steps=200)).final
     assert final.starving_directions(200) == set()
     counts = final.direction_counts()
     assert all(counts[name] > 0 for name in ("x", "y", "z"))
@@ -273,7 +273,7 @@ def test_every_preset_replays():
                "dvr": 20, "random": 25}
     for name in PRESETS:
         sc = build_preset(name, steps=budgets[name])
-        final = run_scenario(sc)
+        final = collect_artifacts(sc).final
         assert final.step_count >= 1
 
 
@@ -317,4 +317,4 @@ def test_bad_script_fails_loudly():
         plan=(PlanStep("monomial", 1),),  # direction y is not minimal
     )
     with pytest.raises(DirectionNotMinimal):
-        run_scenario(bad)
+        list(replay_states(bad))

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used there, and
-every private helper and every slot of the package is used somewhere in it."""
+"""Source hygiene: every name a package module imports is used there,
+every private helper and every slot of the package is used somewhere in
+it, and every public function is read by a package module or allowlisted."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,43 @@ def test_only_values_reads_the_fixpoint():
                       if module != "values.py" for n in ast.walk(tree)
                       if isinstance(n, ast.Attribute) and n.attr == "_eval_fixpoint"})
     assert not readers, f"_eval_fixpoint read outside values.py: {readers}"
+
+
+# public functions no package module reads, each kept for a stated reason
+UNREAD_PUBLIC = {
+    # perfbench/tracer.py wraps both by name, and its getattr fails without them
+    "values.value_cmp",
+    "videals.value_ladder",
+    # the pair-ideal side that the S = V check is to report (ROADMAP item 11)
+    "forms.comparability_index",
+    # the step matrices of periods and of S = V witnesses (ROADMAP items 4 and 11)
+    "monomials.rewrite_matrix",
+    # the strip-and-rewrite ideal step the README's monomials row documents
+    "monomials.transform_ideal",
+}
+
+
+def _unread_public(trees):
+    """Module-level public functions that no package module but
+    ``__init__.py`` names, as an ``ast.Name`` or an ``ast.Attribute``."""
+    nodes = [n for module, tree in trees.items() if module != "__init__.py"
+             for n in ast.walk(tree)]
+    read = ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+    return {f"{module[:-3]}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in read}
+
+
+def test_every_public_function_is_read():
+    unread = _unread_public(_trees())
+    assert unread == UNREAD_PUBLIC, (
+        f"read by no package module: {sorted(unread - UNREAD_PUBLIC)}; "
+        f"allowlisted but now read or gone: {sorted(UNREAD_PUBLIC - unread)}")
+
+
+def test_an_added_unread_public_function_fails_the_gate():
+    trees = _trees()
+    trees["forms.py"].body.append(ast.parse("def orphan():\n    pass\n").body[0])
+    assert _unread_public(trees) == UNREAD_PUBLIC | {"forms.orphan"}

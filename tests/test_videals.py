@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 
 import quadseq
 from quadseq.errors import BasisMismatch, CensusTooLarge, NotTerminated, QuadseqError
-from quadseq.monomials import MonomialIdeal, extend_ideal, monomial_value, total_degree
+from quadseq.monomials import MonomialIdeal, extend_ideal, monomial_value
 from quadseq.sequence import ParameterFrame, SequenceState
 from quadseq.values import RealBasis, shadow
 from quadseq import videals
 from quadseq.videals import (
-    colength_step,
     enumerate_values,
     ideal_value,
-    membership_index,
     short_chain_report,
     tau_bound,
     value_ladder,
@@ -106,27 +104,10 @@ def test_videal_at_zero_is_unit():
     assert videal_at(frame_1_sqrt2(), B2.zero()).is_unit
 
 
-def test_colength_counts_exact_hits():
-    frame = frame_1_sqrt2()
-    assert colength_step(frame, B2.rational(2)) == 1          # only x^2
-    assert colength_step(frame, B2.value([1, 1])) == 1        # only x*y
-    assert colength_step(frame, B2.value([F(1, 2), 0])) == 0  # unattained
-
-
 def test_ideal_value_is_min_over_generators():
     frame = frame_1_sqrt2()
     ideal = MonomialIdeal([(0, 1), (2, 0)])
     assert ideal_value(frame, ideal).coeffs == (F(0), F(1))
-
-
-def test_membership_routes_agree_for_small_monomials():
-    frame = frame_1_sqrt2()
-    chain = videal_chain(frame, 12)
-    for m in itertools.product(range(6), repeat=2):
-        if total_degree(m) > 5:
-            continue
-        by_ideal, by_threshold = membership_index(frame, chain, m)
-        assert by_ideal == by_threshold
 
 
 def test_tau_bound_frozen_table():
@@ -408,11 +389,11 @@ def test_census_matches_brute_force(vals, data):
     t = monomial_value(vals, m)
     assert videal_at(frame, t) == brute_ideal(vals, t)
     assert videal_at(frame, t, strict=True) == brute_ideal(vals, t, strict=True)
-    assert colength_step(frame, t) == brute_colength(vals, t)
     count = data.draw(st.integers(1, 6))
     ladder = brute_values(vals, vmin.scale(count))[:count]
     chain = videal_chain(frame, count)
     assert [e["threshold"] for e in chain] == ladder
+    assert [e["colength"] for e in chain] == [brute_colength(vals, t) for t in ladder]
     assert [e["ideal"] for e in chain] == [brute_ideal(vals, t) for t in ladder]
     assert [e["colength"] for e in chain] == [brute_colength(vals, t) for t in ladder]
 
@@ -535,8 +516,6 @@ def test_threshold_over_another_basis_is_refused():
         videal_at(frame, t)
     with pytest.raises(BasisMismatch):
         enumerate_values(frame, t)
-    with pytest.raises(BasisMismatch):
-        colength_step(frame, t)
 
 
 _SPREAD_CENSUS = """
@@ -545,12 +524,12 @@ resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from quadseq.errors import CensusTooLarge
 from quadseq.sequence import ParameterFrame
 from quadseq.values import RealBasis
-from quadseq.videals import colength_step, enumerate_values, videal_at
+from quadseq.videals import enumerate_values, videal_at
 basis = RealBasis.default(2)
 t = basis.rational(3 * 10**12)
 for small in (basis.rational(1), basis.value([0, 1])):
     frame = ParameterFrame([small, basis.rational(10**12)])
-    for call in (videal_at, colength_step, enumerate_values):
+    for call in (videal_at, enumerate_values):
         start = time.perf_counter()
         try:
             call(frame, t)
@@ -569,8 +548,7 @@ def test_census_on_a_spread_frame_is_refused_within_a_second():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = [line.split() for line in proc.stdout.splitlines()]
-    assert [name for name, _, _ in lines] == ["videal_at", "colength_step",
-                                              "enumerate_values"] * 2
+    assert [name for name, _, _ in lines] == ["videal_at", "enumerate_values"] * 2
     for _, estimate, seconds in lines:
         assert int(estimate) > videals.CENSUS_CAP
         assert float(seconds) < 1.0
