@@ -39,9 +39,12 @@ from .values import RealBasis, ValueVector
 
 DEFAULT_WIDTH = Fraction(1, 10**6)
 
-# every top-level field a config may hold; any other key is refused
-FIELDS = ("preset", "preset_options", "steps", "seed", "name", "dimension", "basis",
-          "names", "frame", "mode", "plan", "boundaries", "checks", "options", "output")
+# the top-level fields each kind of config reads; any other field is refused
+_SHARED = ("checks", "options", "output")
+_INLINE = ("name", "dimension", "basis", "names", "frame", "mode", "seed") + _SHARED
+FIELDS = {"preset": ("preset", "preset_options", "steps", "seed") + _SHARED,
+          "argmin": _INLINE + ("steps",),
+          "scripted": _INLINE + ("plan", "boundaries")}
 
 
 # -- canonical serialization ----------------------------------------------------
@@ -104,6 +107,16 @@ def _parse_basis(spec) -> RealBasis:
     return RealBasis.from_obj(gens)
 
 
+def _config_kind(cfg: dict) -> str:
+    """preset, argmin or scripted: the kind of a config, which fixes its fields."""
+    if "preset" in cfg:
+        return "preset"
+    mode = cfg.get("mode", "argmin")
+    if mode not in ("argmin", "scripted"):
+        raise ConfigError(f"unknown mode {mode!r} (use \"argmin\" or \"scripted\")")
+    return mode
+
+
 def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
     if not isinstance(obj, list):
         raise ConfigError("plan must be a list of step objects")
@@ -113,6 +126,12 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
         if not isinstance(ps, dict) or "kind" not in ps:
             raise ConfigError(f"{where}: each step needs a \"kind\"")
         kind = ps["kind"]
+        if kind not in ("monomial", "rescale"):
+            raise ConfigError(f"{where}: unknown step kind {kind!r}")
+        unknown = sorted(set(ps) - {"kind", "direction",
+                                    "count" if kind == "monomial" else "values"})
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {unknown} for {kind} steps")
         if kind == "monomial":
             if "direction" not in ps:
                 raise ConfigError(f"{where}: monomial step needs a direction")
@@ -121,7 +140,7 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
                 raise ConfigError(f"{where}.count: must be >= 1, got {count}")
             direction = _to_int(ps["direction"], f"{where}.direction")
             steps.append(PlanStep("monomial", direction=direction, count=count))
-        elif kind == "rescale":
+        else:
             vals = ps.get("values")
             if not isinstance(vals, list) or len(vals) != dim:
                 raise ConfigError(f"{where}: rescale needs {dim} new values")
@@ -135,15 +154,14 @@ def _parse_plan(basis: RealBasis, obj, dim: int) -> tuple[PlanStep, ...]:
                          else _to_int(direction, f"{where}.direction"),
                          new_values=new_values)
             )
-        else:
-            raise ConfigError(f"{where}: unknown step kind {kind!r}")
     return tuple(steps)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
     steps = None if cfg.get("steps") is None else _to_int(cfg["steps"], "steps")
     seed = None if cfg.get("seed") is None else _to_int(cfg["seed"], "seed")
-    if "preset" in cfg:
+    kind = _config_kind(cfg)
+    if kind == "preset":
         options = cfg.get("preset_options") or {}
         if not isinstance(options, dict) or {"steps", "seed"} & set(options):
             raise ConfigError("preset_options must be an object without the "
@@ -170,26 +188,23 @@ def scenario_from_config(cfg: dict) -> Scenario:
         values = [_parse_value(basis, s, f"frame[{i}]")
                   for i, s in enumerate(frame_spec)]
         frame = ParameterFrame(values, names=names)
-        mode = cfg.get("mode", "argmin")
         name = cfg.get("name", "scenario")
         if not isinstance(name, str):
             raise ConfigError("name: must be a string")
-        if mode == "argmin":
+        if kind == "argmin":
             if steps is not None and steps < 1:
                 raise ConfigError(f"steps: must be >= 1, got {steps}")
             return Scenario(name=name, frame=frame, mode="argmin",
                             steps=steps or 0, seed=seed)
-        if mode == "scripted":
-            plan = _parse_plan(basis, cfg.get("plan", []), dim)
-            boundaries = cfg.get("boundaries", [])
-            if not isinstance(boundaries, list):
-                raise ConfigError("boundaries: must be a list of integers")
-            boundaries = tuple(_to_int(b, f"boundaries[{i}]") for i, b in enumerate(boundaries))
-            return Scenario(name=name, frame=frame, mode="scripted", plan=plan,
-                            boundaries=boundaries, seed=seed)
+        plan = _parse_plan(basis, cfg.get("plan", []), dim)
+        boundaries = cfg.get("boundaries", [])
+        if not isinstance(boundaries, list):
+            raise ConfigError("boundaries: must be a list of integers")
+        boundaries = tuple(_to_int(b, f"boundaries[{i}]") for i, b in enumerate(boundaries))
+        return Scenario(name=name, frame=frame, mode="scripted", plan=plan,
+                        boundaries=boundaries, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
-    raise ConfigError(f"unknown mode {mode!r} (use \"argmin\" or \"scripted\")")
 
 
 # -- trace and report ------------------------------------------------------------
@@ -325,9 +340,10 @@ def cmd_run(args) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(cfg) - set(FIELDS))
+        kind = _config_kind(cfg)
+        unknown = sorted(set(cfg) - set(FIELDS[kind]))
         if unknown:
-            raise ConfigError(f"unknown fields {unknown}")
+            raise ConfigError(f"unknown fields {unknown} for {kind} configs")
         source = f"config:{os.path.basename(args.config)}"
     else:
         cfg = {"preset": args.preset}

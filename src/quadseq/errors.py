@@ -9,20 +9,6 @@ class BasisMismatch(QuadseqError):
     """Two values living over different real bases were combined."""
 
 
-class IndeterminateComparison(QuadseqError):
-    """Sign refinement hit its precision cap without separating from zero.
-
-    This is the expected outcome when the basis generators are rationally
-    dependent (e.g. a basis containing both 1 and sqrt(4)): some nonzero
-    coefficient vectors then denote the real number 0, which no finite
-    amount of interval refinement can certify.
-    """
-
-    def __init__(self, message: str, bits: int = 0):
-        super().__init__(message)
-        self.bits = bits
-
-
 class EmptyGeneratorSet(QuadseqError):
     """A monomial ideal or form was given no generators."""
 

@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     CensusTooLarge,
     EmptyGeneratorSet,
@@ -161,12 +159,15 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
 
 
 @lru_cache(maxsize=None)
-def _antichain_columns(dim: int, max_degree: int) -> np.ndarray:
+def _antichain_columns(dim: int, max_degree: int):
     """Every antichain, padded to the full width with copies of its first
     member, as read-only exponent columns of shape ``(dim, width, N)``,
     C-contiguous: ``columns[i, k]`` holds exponent i of the k-th member of
     all N antichains side by side, so a reduction over the members
-    (axis 0 of a column) runs over contiguous rows of length N."""
+    (axis 0 of a column) runs over contiguous rows of length N.  numpy is
+    imported here, not at module level, so ``import quadseq`` never loads it."""
+    import numpy as np
+
     chains = enumerate_antichains(dim, max_degree)
     width = max(map(len, chains))
     padded = [c + (c[0],) * (width - len(c)) for c in chains]

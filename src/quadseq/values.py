@@ -6,14 +6,14 @@ Addition, subtraction and scalar multiplication are exact coefficient
 operations.  Signs and comparisons are decided by interval refinement:
 every generator supplies integer fixed-point approximations at arbitrary
 precision, and the precision doubles until the candidate sign separates
-from the accumulated rounding error.  For rationally independent
-generators this always terminates; for dependent ones (say a basis
-containing both ``1`` and ``sqrt(4)``) a nonzero coefficient vector can
-denote the real number zero, and the refinement loop raises
-:class:`~quadseq.errors.IndeterminateComparison` once it exceeds its cap.
+from the accumulated rounding error.
 
-Equality of two values is equality of coefficient vectors, which is finer
-than equality of the denoted reals exactly when the basis is dependent.
+A basis is accepted only when its generators are rationally independent.
+Writing 1 as sqrt(1), square roots are independent over Q exactly when no
+two radicands multiply to a perfect square (Besicovitch 1940), and that
+is the rule ``RealBasis`` enforces.  So only the zero coefficient vector
+denotes 0, refinement always terminates, and equality of coefficient
+vectors is equality of the denoted reals.
 
 Code that compares many values first tries their integer shadows: at a
 scale T, the shadow of a value is an integer within 2 of the value times
@@ -29,12 +29,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BasisMismatch, IndeterminateComparison
+from .errors import BasisMismatch
 
 Rational = Union[int, Fraction, str]
-
-#: floor of the precision cap used by sign refinement (bits)
-DEFAULT_MAX_BITS = 4096
 
 # shadow tuning: the mantissa size a fresh scale aims at, and the floor
 # every settled shadow clears (bits)
@@ -61,9 +58,10 @@ def _sqrt_fixpoint(n: int, bits: int) -> int:
 
 
 class Generator:
-    """A single basis element: a positive real number with a refinement oracle."""
+    """A single basis element: sqrt(n), with a refinement oracle."""
 
     key: object
+    n: int
     is_rational: bool
 
     def fixpoint(self, bits: int) -> int:
@@ -75,9 +73,10 @@ class Generator:
 
 
 class OneGenerator(Generator):
-    """The rational unit 1."""
+    """The rational unit 1, which is sqrt(1) to the independence rule."""
 
     key = "one"
+    n = 1
     is_rational = True
 
     def fixpoint(self, bits: int) -> int:
@@ -131,6 +130,11 @@ class RealBasis:
         keys = [g.key for g in gens]
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate basis generators in {list(gens)}")
+        for i, g in enumerate(gens):
+            for h in gens[i + 1:]:
+                if math.isqrt(g.n * h.n) ** 2 == g.n * h.n:
+                    raise ValueError(f"basis generators {g!r} and {h!r} are rationally "
+                                     f"dependent: {g.n} * {h.n} is a perfect square")
         self.generators = gens
         self._key = tuple(keys)
         self._one_index = next(
@@ -191,38 +195,12 @@ class RealBasis:
 
     # -- sign machinery ------------------------------------------------------
 
-    def _effective_cap(self, nums: Sequence[int]) -> int:
-        """Precision sufficient to separate any *nonzero* combination.
-
-        For integer-radicand square roots a nonzero integer combination has
-        absolute value at least 1 / M^(2^k - 1) where M bounds every
-        conjugate and k counts the irrational slots involved, so precision
-        linear in the coefficient height (times 2^k) always suffices.  The
-        returned cap only matters for dependent bases, where the true value
-        can be zero and refinement must eventually give up.
-        """
-        height = 1
-        k_irr = 0
-        supported = True
-        for n, g in zip(nums, self.generators):
-            if n == 0:
-                continue
-            if not g.is_rational:
-                k_irr += 1
-                if not isinstance(g, SqrtGenerator):
-                    supported = False
-            height = max(height, abs(n).bit_length())
-        if not supported or k_irr == 0:
-            return DEFAULT_MAX_BITS
-        formula = (1 << k_irr) * (height + 8 * k_irr + 16) + 64
-        return max(DEFAULT_MAX_BITS, min(formula, 1 << 22))
-
     def _sign_of_combo(self, nums: Sequence[int]) -> int:
         """Sign of sum(nums[i] * generator[i]), exact: one fixpoint per
-        round at doubling precision, the last round at the cap itself
-        (computed only if 64 bits do not decide)."""
+        round at 64, 128, 256, ... bits until the sign separates from the
+        error.  The basis is independent, so a nonzero vector denotes a
+        nonzero real and some finite precision decides it."""
         bits = 64
-        cap = None
         while True:
             s, err = self._eval_fixpoint(nums, bits)
             if s > err:
@@ -231,15 +209,7 @@ class RealBasis:
                 return -1
             if err == 0:
                 return 0
-            if cap is None:
-                cap = self._effective_cap(nums)
-            if bits >= cap:
-                raise IndeterminateComparison(
-                    f"sign undecided at {cap} bits; basis generators are "
-                    "likely rationally dependent",
-                    bits=cap,
-                )
-            bits = min(bits << 1, cap)
+            bits <<= 1
 
     def _eval_fixpoint(self, nums: Sequence[int], bits: int) -> tuple[int, int]:
         """(s, err) with |s - 2^bits * sum(nums[i]*g_i)| <= err."""
@@ -269,9 +239,9 @@ class ValueVector:
 
     Internally the coefficients are integers over one positive common
     denominator; the public ``coeffs`` view reduces them.  Two values are
-    equal iff their coefficient vectors are equal.  Order comparisons go
-    through sign refinement and may raise IndeterminateComparison on
-    dependent bases.
+    equal iff their coefficient vectors are equal, which is equality of the
+    denoted reals because every basis is independent.  Order comparisons
+    go through sign refinement.
     """
 
     __slots__ = ("basis", "_nums", "_den")

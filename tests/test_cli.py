@@ -246,7 +246,12 @@ def test_non_integer_config_values_exit_two(tmp_path, capsys, cfg, where):
     (["one", {"sqrt": 2}, {"sqrt": 2}], "duplicate basis generators in [1, sqrt2, sqrt2]"),
     (["one", {"cbrt": 2}], "unknown basis generator: {'cbrt': 2}"),
     (5, "must be a list of generators"),
-], ids=["fractional", "bool", "negative", "repeated", "unknown", "not-a-list"])
+    # these three used to be accepted, though some vector over each denotes 0
+    (["one", {"sqrt": 4}], "basis generators 1 and sqrt4 are rationally dependent"),
+    (["one", {"sqrt": 2}, {"sqrt": 8}], "sqrt2 and sqrt8 are rationally dependent"),
+    ([{"sqrt": 3}, {"sqrt": 12}], "sqrt3 and sqrt12 are rationally dependent"),
+], ids=["fractional", "bool", "negative", "repeated", "unknown", "not-a-list",
+        "square", "same-squarefree-part", "no-unit"])
 def test_bad_basis_exits_two(tmp_path, capsys, basis, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dimension": 2, "basis": basis, "frame": ["1", "3/2"]}))
@@ -254,6 +259,21 @@ def test_bad_basis_exits_two(tmp_path, capsys, basis, needle):
     err = capsys.readouterr().err
     assert err.startswith("config error: basis")
     assert needle in err
+
+
+def test_a_dependent_basis_exits_two_before_any_replay(monkeypatch, tmp_path, capsys):
+    # bound63 used to report independent_values true on this frame, and
+    # videal-chain to exit 2 with "sign undecided at 4096 bits"
+    calls = _count_replays(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "basis": ["one", {"sqrt": 2}, {"sqrt": 8}],
+        "frame": ["1", ["0", "3/4", "0"], ["0", "0", "1/2"]],
+        "steps": 20, "checks": ["bound63", "videal-chain"]}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: basis: basis generators "
+                                              "sqrt2 and sqrt8 are rationally dependent")
+    assert calls == []
 
 
 def test_radicand_as_a_decimal_string_reads_as_its_integer(tmp_path):
@@ -449,14 +469,28 @@ _SCRIPTED = {"dimension": 2, "frame": ["1", "3/2"], "mode": "scripted",
     ({"preset": []}, "config error: unknown preset []"),
     ({**_SCRIPTED, "boundaries": 5}, "config error: boundaries: must be a list"),
     ({**_SCRIPTED, "name": 5}, "config error: name: must be a string"),
+    # the rest used to run: a misspelt plan key, and fields the kind never reads
+    ({**_SCRIPTED, "plan": [{"kind": "monomial", "direction": 0, "cuont": 3}]},
+     "config error: plan[0]: unknown keys ['cuont'] for monomial steps"),
+    ({**_SCRIPTED, "plan": [{"kind": "monomial", "direction": 0},
+                            {"kind": "rescale", "values": ["1", "2"], "count": 2}]},
+     "config error: plan[1]: unknown keys ['count'] for rescale steps"),
+    ({"preset": "dvr", "frame": ["1"], "plan": 5},
+     "config error: unknown fields ['frame', 'plan'] for preset configs"),
+    ({"dimension": 2, "frame": ["1", "3/2"], "plan": 5, "boundaries": "x"},
+     "config error: unknown fields ['boundaries', 'plan'] for argmin configs"),
+    ({**_SCRIPTED, "steps": 7}, "config error: unknown fields ['steps'] for scripted configs"),
 ], ids=["misspelt-field", "misspelt-output-key", "checks-string", "checks-int",
         "checks-null", "checks-non-string-id", "output-int", "output-bool",
         "output-list", "output-string", "output-json-int", "preset-list",
-        "boundaries-int", "name-int"])
+        "boundaries-int", "name-int", "plan-step-misspelt-key", "plan-rescale-count",
+        "preset-with-inline-fields", "argmin-with-scripted-fields", "scripted-with-steps"])
 def test_config_field_shapes_exit_two(tmp_path, capsys, cfg, needle):
+    # --steps, merged after the field check, caps any run the config would start
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"steps": 4, **cfg}))
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--steps", "4",
+                     "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err

@@ -1,11 +1,15 @@
 """Form transforms, exhaustive order-drop sweeps, ratios, comparability."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadseq
 from quadseq.errors import AmbiguousDirection, CensusTooLarge, NotTerminated, RatioUndefined
 from quadseq.forms import (
     ANTICHAIN_CAP,
@@ -328,3 +332,20 @@ def test_transform_preserves_support_size_and_divisibility(support, w):
     for (a, b), d in before.items():
         if d:
             assert divides(mapping[a], mapping[b])
+
+
+_LAZY_NUMPY = """
+import sys
+import quadseq, quadseq.cli
+assert "numpy" not in sys.modules, "numpy loaded by import"
+report = quadseq.order_drop_report(3, [0, 1, 2, 0], max_degree=3)
+assert report["all_drop"] and "numpy" in sys.modules
+"""
+
+
+def test_numpy_loads_only_for_an_order_drop_sweep():
+    # numpy was most of the import time of every CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadseq.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]

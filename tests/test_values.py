@@ -5,12 +5,12 @@ from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadseq.errors import BasisMismatch, IndeterminateComparison
+from quadseq.errors import BasisMismatch
 from quadseq.sequence import ParameterFrame
-from quadseq.values import RealBasis, SqrtGenerator, ValueVector, value_cmp
+from quadseq.values import OneGenerator, RealBasis, SqrtGenerator, ValueVector, value_cmp
 
 getcontext().prec = 80
 
@@ -95,25 +95,64 @@ def test_large_height_separation():
     assert B2.value([F(p, q), -1]).sign() == (1 if p * p > 2 * q * q else -1)
 
 
-def test_the_cap_itself_is_tried_before_giving_up():
+def test_a_sign_past_4096_bits_is_decided():
     # p - q*sqrt2 = (sqrt2 - 1)^2400, about 2^-3052: 4096 bits do not
-    # decide its sign, 8192 would pass the cap of 6214 bits, and the cap
-    # itself decides it
+    # decide its sign, and the doubling goes on to 8192, which does
     p, q = 1, 0
     for _ in range(2400):
         p, q = p + 2 * q, p + q
     v = B2.value([p, -q])
-    assert B2._effective_cap(v._nums) == 6214
     frame = ParameterFrame([B2.rational(1), v])
     assert frame.values[1].sign() == 1
 
 
-def test_dependent_basis_raises_indeterminate():
-    basis = RealBasis.from_obj(["one", {"sqrt": 4}])
-    v = basis.value([-2, 1])  # sqrt(4) - 2 == 0, but coefficients differ from zero
-    assert not v.is_zero
-    with pytest.raises(IndeterminateComparison):
-        v.sign()
+@pytest.mark.parametrize("obj, pair", [
+    (["one", {"sqrt": 4}], "1 and sqrt4"),  # sqrt(4) - 2 would denote 0
+    (["one", {"sqrt": 2}, {"sqrt": 8}], "sqrt2 and sqrt8"),
+    ([{"sqrt": 3}, {"sqrt": 12}], "sqrt3 and sqrt12"),
+], ids=["square", "same-squarefree-part", "no-unit"])
+def test_a_dependent_basis_is_refused(obj, pair):
+    with pytest.raises(ValueError, match=f"basis generators {pair} are rationally dependent"):
+        RealBasis.from_obj(obj)
+
+
+def test_an_independent_basis_in_any_order_is_accepted():
+    basis = RealBasis.from_obj([{"sqrt": 8}, "one", {"sqrt": 3}])
+    assert basis.one_index == 1
+    assert basis.value([1, -3, 0]).sign() == -1  # 2*sqrt2 < 3
+
+
+def _generator(n):
+    return OneGenerator() if n == 1 else SqrtGenerator(n)
+
+
+@given(st.integers(1, 300), st.integers(1, 300))
+@settings(max_examples=300)
+def test_two_radicands_are_refused_exactly_when_their_product_is_a_square(a, b):
+    square = any(k * k == a * b for k in range(1, 301))
+    try:
+        RealBasis([_generator(a), _generator(b)])
+    except ValueError:
+        assert square
+    else:
+        assert not square
+
+
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_a_nonzero_vector_over_an_accepted_basis_has_the_oracle_sign(radicands, coeffs):
+    try:
+        basis = RealBasis([_generator(n) for n in radicands])
+    except ValueError:
+        assume(False)
+    v = basis.value(coeffs[:basis.size])
+    assume(not v.is_zero)
+    sign = v.sign()
+    assert sign != 0
+    d = as_decimal(v)
+    assume(abs(d) >= Decimal("1e-40"))  # the 80-digit oracle cannot vouch closer to 0
+    assert sign == (1 if d > 0 else -1)
 
 
 def test_basis_mismatch():
