@@ -10,18 +10,19 @@ direction leaves the corresponding variable's order pinned at 1 forever;
 and for two fixed monomials the ratio of their orders along an argmin
 word converges to the ratio of their frame values.
 
-The order-drop sweep steps every antichain of bounded degree at once.
-Each antichain is padded to a common width with copies of its first
-member, which change no minimum and transform like the original, and
-only the degree sums and the stepped exponent column are updated per
-letter.  A degree at most doubles per letter, so the sweep uses int64
-while the word is short enough for that bound and Python integers
-beyond it: it is exact for every word length.
+The order-drop sweep steps every antichain of bounded degree at once in
+Python integers: one integer per member slot and variable packs that
+exponent of every antichain wide enough to have the member, one lane per
+antichain, and only the degree sums and the stepped exponent column are
+updated per letter.  A degree at most doubles per letter, so lanes sized
+from the word's length hold every degree and a guard bit: the sweep is
+exact for every word length.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -159,23 +160,30 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
 
 
 @lru_cache(maxsize=None)
-def _antichain_columns(dim: int, max_degree: int):
-    """Every antichain, padded to the full width with copies of its first
-    member, as read-only exponent columns of shape ``(dim, width, N)``,
-    C-contiguous: ``columns[i, k]`` holds exponent i of the k-th member of
-    all N antichains side by side, so a reduction over the members
-    (axis 0 of a column) runs over contiguous rows of length N.  numpy is
-    imported here, not at module level, so ``import quadseq`` never loads it."""
-    import numpy as np
+def _antichain_lanes(dim: int, max_degree: int, lane_bytes: int):
+    """Every antichain, widest first, packed one per lane of ``lane_bytes``
+    bytes (lane 0 lowest): ``columns[i][k]`` packs exponent i of member k
+    of the first ``counts[k]`` antichains, those that have a member k, and
+    ``guards[k]`` sets the top bit of each of those lanes."""
+    def pack(lanes):
+        return int.from_bytes(b"".join(e.to_bytes(lane_bytes, "little") for e in lanes),
+                              "little")
 
-    chains = enumerate_antichains(dim, max_degree)
-    width = max(map(len, chains))
-    padded = [c + (c[0],) * (width - len(c)) for c in chains]
-    exponents = (c[k][i] for i in range(dim) for k in range(width) for c in padded)
-    columns = np.fromiter(exponents, dtype=np.int64, count=dim * width * len(chains))
-    columns = columns.reshape(dim, width, len(chains))
-    columns.setflags(write=False)
-    return columns
+    chains = sorted(enumerate_antichains(dim, max_degree), key=len, reverse=True)
+    counts = [sum(len(c) > k for c in chains) for k in range(len(chains[0]))]
+    columns = tuple(tuple(pack(c[k][i] for c in chains[:n]) for k, n in enumerate(counts))
+                    for i in range(dim))
+    return columns, tuple(pack([1 << 8 * lane_bytes - 1] * n) for n in counts)
+
+
+def _lanewise_min(slots: list[int], guards: Sequence[int], shift: int) -> int:
+    """The lanewise minimum of ``slots``: a lane of ``(low | g) - v`` keeps its
+    guard bit ``shift`` where low >= v, and ``over - (over >> shift)`` widens it."""
+    low = slots[0]
+    for v, g in zip(slots[1:], guards[1:]):
+        over = ((low | g) - v) & g
+        low ^= (low ^ v) & (over - (over >> shift))
+    return low
 
 
 def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dict:
@@ -187,15 +195,13 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
     admits a witness whose order never moves: that variable itself.
 
     On a covering word every antichain of degree at most ``max_degree``
-    steps at once, padded with copies of its first member.  A letter ``w``
+    steps at once, one lane each of ``_antichain_lanes``.  A letter ``w``
     sets each exponent m_w to |m| - r, r the order, so the new degree is
-    2|m| - m_w - r: only the degrees and column ``w`` change, and a
-    degree at most doubles.  The sweep runs in int64 while
-    ``max_degree.bit_length() + len(word) <= 62`` and in Python integers
-    otherwise, with the same statements, so it is exact for every word.
-    The degrees are a ``(width, N)`` table, one row per member slot, so
-    each order is a minimum over axis 0: N contiguous rows reduced
-    elementwise.
+    2|m| - m_w - r: only the degrees and column ``w`` change, and a degree
+    at most doubles.  Each lane holds ``max_degree << len(word)`` and a
+    guard bit, so packed arithmetic whose lanes end in range is exact for
+    every word length; the monotone and strict-drop tests read the guard
+    bits of one subtraction each.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -216,26 +222,34 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
             "witness_trace": trace,
             "witness_constant": len(set(trace)) == 1,
         }
-    columns = _antichain_columns(dim, max_degree)
-    if int(max_degree).bit_length() + len(word) > 62:
-        columns = columns.astype(object)
-    deg = columns.sum(axis=0)
-    columns = list(columns)
-    initial = order = deg.min(axis=0)
+    # the fewest bytes, a power of two, above the degree bound and a guard bit
+    lane_bytes = 1 << ((max_degree << len(word)).bit_length() // 8).bit_length()
+    shift = 8 * lane_bytes - 1
+    table, guards = _antichain_lanes(dim, max_degree, lane_bytes)
+    columns = [list(c) for c in table]
+    masks = [(1 << g.bit_length()) - 1 for g in guards]
+    deg = [sum(c[k] for c in columns) for k in range(len(guards))]
+    full = guards[0]
+    initial = order = _lanewise_min(deg, guards, shift)
     monotone = True
     for w in word:
-        new = deg - order
-        deg -= columns[w]
-        deg += new
-        columns[w] = new
-        prev, order = order, deg.min(axis=0)
-        monotone = monotone and bool((order <= prev).all())
+        column = columns[w]
+        for k, mask in enumerate(masks):
+            new = deg[k] - (order & mask)
+            deg[k] += new - column[k]
+            column[k] = new
+        prev, order = order, _lanewise_min(deg, guards, shift)
+        monotone = monotone and ((prev | full) - order) & full == full
+    lanes = order.to_bytes(full.bit_length() // 8, sys.byteorder)
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(lane_bytes)  # native unsigned widths
     return {
         "full_coverage": True,
-        "forms_checked": deg.shape[1],
-        "all_drop": bool((order < initial).all()),
+        "forms_checked": len(lanes) // lane_bytes,
+        "all_drop": not ((order | full) - initial) & full,
         "orders_monotone": monotone,
-        "max_final_order": int(order.max()),
+        "max_final_order": max(memoryview(lanes).cast(fmt)) if fmt else max(
+            int.from_bytes(lanes[i:i + lane_bytes], sys.byteorder)
+            for i in range(0, len(lanes), lane_bytes)),
     }
 
 

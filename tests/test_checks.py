@@ -289,15 +289,17 @@ def test_a_replay_builds_the_initial_state_once(monkeypatch):
 
 
 def _antichain_degree_off_by_one(monkeypatch, sc):
-    columns_of = forms._antichain_columns
+    lanes_of = forms._antichain_lanes
 
-    def mutant(dim, max_degree):
-        # the first antichain, the last variable alone, loses its degree
-        columns = columns_of(dim, max_degree).copy()
-        columns[dim - 1, :, 0] -= 1
-        return columns
+    def mutant(dim, max_degree, lane_bytes):
+        # the first antichain, the last variable alone, loses its degree; the
+        # table puts it in the first single-member lane, after the wide ones
+        columns, guards = lanes_of(dim, max_degree, lane_bytes)
+        lane = guards[1].bit_length() // (8 * lane_bytes)
+        first = columns[dim - 1][0] - (1 << 8 * lane_bytes * lane)
+        return columns[:dim - 1] + ((first,) + columns[dim - 1][1:],), guards
 
-    monkeypatch.setattr(forms, "_antichain_columns", mutant)
+    monkeypatch.setattr(forms, "_antichain_lanes", mutant)
 
 
 def _dominance_off_by_one(monkeypatch, sc):

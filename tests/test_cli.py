@@ -643,8 +643,8 @@ print(json.dumps({"code": code, "seconds": time.perf_counter() - start}),
 
 
 def test_thm33a_past_the_antichain_cap_is_not_applicable(tmp_path):
-    # the d = 4 sweep would table 2,154,533 antichains (1.3 GiB) and used to
-    # escape main as a numpy memory error, so the child runs under 2 GiB
+    # the d = 4 sweep would table 2,154,533 antichains, so the child runs
+    # under 2 GiB: the cap must refuse it before any table is built
     cfg = tmp_path / "d4.json"
     cfg.write_text(json.dumps({
         "dimension": 4, "frame": ["1", "3/2", "7/4", "15/8"], "mode": "scripted",
@@ -652,7 +652,7 @@ def test_thm33a_past_the_antichain_cap_is_not_applicable(tmp_path):
         "checks": ["thm33a"],
     }))
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadseq.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _THM33A_D4, str(cfg)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

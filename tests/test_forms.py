@@ -14,7 +14,7 @@ from quadseq.errors import AmbiguousDirection, CensusTooLarge, NotTerminated, Ra
 from quadseq.forms import (
     ANTICHAIN_CAP,
     MonomialForm,
-    _antichain_columns,
+    _antichain_lanes,
     comparability_index,
     enumerate_antichains,
     ord_trace,
@@ -60,19 +60,24 @@ def test_antichain_counts_frozen():
     assert exc.value.estimate == ANTICHAIN_CAP + 1
 
 
-@pytest.mark.parametrize("dim, max_degree", [(2, 3), (3, 2), (3, 3)])
-def test_antichain_columns_layout(dim, max_degree):
-    # (dim, width, N), C-contiguous: the sweep's minima over the members
-    # reduce N contiguous rows; the cached table is shared, so read-only
-    chains = enumerate_antichains(dim, max_degree)
-    width = max(map(len, chains))
-    columns = _antichain_columns(dim, max_degree)
-    assert columns.shape == (dim, width, len(chains))
-    assert columns.flags.c_contiguous
-    assert not columns.flags.writeable
-    for n, c in enumerate(chains):
-        padded = c + (c[0],) * (width - len(c))
-        assert [tuple(int(e) for e in columns[:, k, n]) for k in range(width)] == list(padded)
+@pytest.mark.parametrize("dim, max_degree, lane_bytes",
+                         [(2, 3, 1), (3, 2, 2), (3, 3, 1), (3, 3, 16)])
+def test_antichain_lanes_layout(dim, max_degree, lane_bytes):
+    # widest first and unpadded: slot k holds member k of every antichain
+    # that has one, antichain j in lane j, with the guard bit of each lane
+    chains = sorted(enumerate_antichains(dim, max_degree), key=len, reverse=True)
+    columns, guards = _antichain_lanes(dim, max_degree, lane_bytes)
+    bits = 8 * lane_bytes
+    assert len(columns) == dim and len(guards) == len(chains[0])
+    for k, guard in enumerate(guards):
+        members = [c[k] for c in chains if len(c) > k]
+        assert guard == sum(1 << j * bits + bits - 1 for j in range(len(members)))
+        for i in range(dim):
+            packed = columns[i][k]
+            assert packed >> len(members) * bits == 0
+            assert [packed >> j * bits & (1 << bits) - 1
+                    for j in range(len(members))] == [m[i] for m in members]
+    assert sum(g.bit_length() // bits for g in guards) == sum(map(len, chains))
 
 
 def test_order_drop_full_coverage_d2():
@@ -118,12 +123,12 @@ def _oracle_report(dim, word, max_degree):
 
 
 @st.composite
-def covering_words(draw):
+def covering_words(draw, max_length=140, d3_max_degree=2):
     dim = draw(st.sampled_from((2, 3)))
-    # the d = 3, degree-3 oracle walks 2,496 antichains, seconds per word:
-    # criterion 6 and the long-word cases below cover that sweep
-    max_degree = draw(st.integers(1, 3 if dim == 2 else 2))
-    length = draw(st.integers(dim, 140))
+    # the d = 3, degree-3 oracle walks 2,496 antichains, seconds per long
+    # word: short words, the boundary words and criterion 6 cover that sweep
+    max_degree = draw(st.integers(1, 3 if dim == 2 else d3_max_degree))
+    length = draw(st.integers(dim, max_length))
     word = draw(st.lists(st.integers(0, dim - 1), min_size=length, max_size=length))
     spots = draw(st.lists(st.integers(0, length - 1), min_size=dim, max_size=dim,
                           unique=True))
@@ -135,8 +140,32 @@ def covering_words(draw):
 @given(covering_words())
 @settings(max_examples=40, deadline=None)
 def test_order_drop_matches_the_trace_oracle(case):
-    # from 61 letters on (62 at max_degree 1) the sweep leaves int64 for Python ints
+    # lanes widen past 5, 13, 29 and 61 letters (6, 14, 30, 62 at max_degree 1)
     dim, word, max_degree = case
+    assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
+
+
+@given(covering_words(max_length=8, d3_max_degree=3))
+@settings(max_examples=30, deadline=None)
+def test_order_drop_matches_the_trace_oracle_on_short_words(case):
+    # the words of criterion 6 and of the benchmark, at every degree up to 3
+    dim, word, max_degree = case
+    assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
+
+
+# at max_degree 2 and 3 a lane holds len(word) + 3 bits, so these lengths
+# sit on both sides of each step from 1 to 2, 4, 8 and 16 bytes; the d = 3,
+# degree-3 oracle takes seconds on the longer ones
+_BOUNDARIES = (5, 6, 13, 14, 29, 30, 61, 62)
+_BOUNDARY_CASES = ([(2, 3, n) for n in _BOUNDARIES] + [(3, 2, n) for n in _BOUNDARIES]
+                   + [(3, 3, n) for n in _BOUNDARIES[:4]])
+
+
+@pytest.mark.parametrize("dim, max_degree, length", _BOUNDARY_CASES,
+                         ids=[f"d{d}-deg{m}-{n}-letters" for d, m, n in _BOUNDARY_CASES])
+def test_order_drop_matches_the_trace_oracle_at_lane_boundaries(dim, max_degree, length):
+    word = [(i * 7 + i // dim) % dim for i in range(length)]
+    assert set(word) == set(range(dim))
     assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
 
 
@@ -334,18 +363,19 @@ def test_transform_preserves_support_size_and_divisibility(support, w):
             assert divides(mapping[a], mapping[b])
 
 
-_LAZY_NUMPY = """
+_NO_NUMPY = """
 import sys
 import quadseq, quadseq.cli
-assert "numpy" not in sys.modules, "numpy loaded by import"
-report = quadseq.order_drop_report(3, [0, 1, 2, 0], max_degree=3)
-assert report["all_drop"] and "numpy" in sys.modules
+report = quadseq.order_drop_report(3, [0, 1, 2, 0])
+assert report["all_drop"]
+assert quadseq.cli.main(["run", "--preset", "shannon-4.18", "--checks", "all"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
 """
 
 
-def test_numpy_loads_only_for_an_order_drop_sweep():
-    # numpy was most of the import time of every CLI call
+def test_a_sweep_and_a_checked_run_load_no_numpy():
+    # the package has no runtime dependency, so nothing it runs reaches numpy
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadseq.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_NUMPY], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,8 +1,10 @@
-"""Source hygiene: every name a package module imports is used there,
-every private helper and every slot of the package is used somewhere in
-it, and every public function is read by a package module or allowlisted."""
+"""Source hygiene: every name a package module imports is used there and
+comes from the standard library or the package, every private helper and
+every slot of the package is used somewhere in it, and every public
+function is read by a package module or allowlisted."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,22 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = set(_imported(tree)) - used - set(_literal(tree.body, "__all__"))
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def test_every_import_is_stdlib_or_relative():
+    # the package has no runtime dependency (pyproject.toml declares none)
+    foreign = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}: {r}" for r in roots
+                        if r not in sys.stdlib_module_names]
+    assert not foreign, f"imports outside the standard library: {foreign}"
 
 
 def _private(name):
