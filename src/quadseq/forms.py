@@ -14,9 +14,10 @@ The order-drop sweep steps every antichain of bounded degree at once in
 Python integers: one integer per member slot and variable packs that
 exponent of every antichain wide enough to have the member, one lane per
 antichain, and only the degree sums and the stepped exponent column are
-updated per letter.  A degree at most doubles per letter, so lanes sized
-from the word's length hold every degree and a guard bit: the sweep is
-exact for every word length.
+updated per letter.  A member's exponents never exceed its unstripped
+image along the word, so lanes sized from the largest image of a
+variable hold every degree and a guard bit: the sweep is exact for
+every word length.
 """
 
 from __future__ import annotations
@@ -197,8 +198,11 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
     On a covering word every antichain of degree at most ``max_degree``
     steps at once, one lane each of ``_antichain_lanes``.  A letter ``w``
     sets each exponent m_w to |m| - r, r the order, so the new degree is
-    2|m| - m_w - r: only the degrees and column ``w`` change, and a degree
-    at most doubles.  Each lane holds ``max_degree << len(word)`` and a
+    2|m| - m_w - r: only the degrees and column ``w`` change.  Without the
+    strip m_w would become |m|; the strip only lowers exponents, so every
+    member stays below its unstripped image, at most ``max_degree`` times
+    the largest image of a variable, ``|rewrite_word(x_j, word)|``, which
+    ``rewrite_along`` yields after the last letter.  Each lane holds that and a
     guard bit, so packed arithmetic whose lanes end in range is exact for
     every word length; the monotone and strict-drop tests read the guard
     bits of one subtraction each.
@@ -223,7 +227,8 @@ def order_drop_report(dim: int, word: Sequence[int], max_degree: int = 3) -> dic
             "witness_constant": len(set(trace)) == 1,
         }
     # the fewest bytes, a power of two, above the degree bound and a guard bit
-    lane_bytes = 1 << ((max_degree << len(word)).bit_length() // 8).bit_length()
+    *_, images = rewrite_along(_nonunit_monomials(dim, 1), word)
+    lane_bytes = 1 << ((max_degree * max(map(sum, images))).bit_length() // 8).bit_length()
     shift = 8 * lane_bytes - 1
     table, guards = _antichain_lanes(dim, max_degree, lane_bytes)
     columns = [list(c) for c in table]

@@ -9,17 +9,19 @@ outcome of a coordinate change is data, not something the value frame
 determines).  The value of a step — the smallest frame value at that
 moment — is recorded with each step.
 
-Stepping is exact.  Internally every frame value is an integer
-coefficient vector over the basis with one shared denominator, and each
-state carries the integer shadows of ``values`` with rigorous error
-bounds; comparisons are decided by the shadows whenever the gap exceeds
-the accumulated error and fall back to full sign refinement otherwise,
-so a 10^4-step run costs fractions of a second without ever trusting a
-float.  Every state is born with settled shadows: ``from_frame`` and
-``_spawn`` keep the ones a state inherits while they are precise enough
-and take fresh ones from ``values.settled_shadows`` otherwise, so
-nothing checks them later.  Argmin, scripted and run-length steps and
-the quotient replay all go through one step kernel, ``_monomial``.
+Stepping is exact.  A segment, a stretch of steps with no rescale,
+stores the anchored rows c_i = a_i + D over one shared denominator, D
+the sum of its step values so far, so E = E_seg + D.  A step in ``w``
+with value v = c_w - D adds v to D and to c_w and leaves every other
+row as it is; the shadows, sb_i - S with errors eb_i + G, likewise move
+the offsets S and G and reset entry ``w``.  Comparisons are decided by
+the shadows whenever the gap exceeds the error and by exact sign
+refinement otherwise, so a 10^4-step run costs fractions of a second
+without ever trusting a float.  Every state is born with settled
+shadows: a step keeps the ones it inherits while they are precise
+enough and takes fresh ones from ``values.settled_shadows`` otherwise.
+Argmin, scripted and run-length steps and the quotient replay all go
+through one step kernel, ``_monomial``.
 
 Callers that need only the letters of an argmin run read them from
 ``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
@@ -112,9 +114,9 @@ class SequenceState:
 
     __slots__ = (
         "basis", "names", "dim",
-        "_den", "_vals", "_E", "_n", "_hist",
+        "_den", "_rows", "_D", "_E0", "_n", "_hist",
         "_seg_total", "_rescaled", "_frame0",
-        "_sh", "_sherr", "_shscale", "_slack_sh", "_slack_err",
+        "_sb", "_S", "_eb", "_G", "_shscale", "_slack_sh", "_slack_err",
     )
 
     # -- construction --------------------------------------------------------
@@ -128,74 +130,78 @@ class SequenceState:
         st.basis = frame.basis
         st.names = frame.names
         st.dim = frame.dim
-        nums, den = _common_den(frame.values)
-        st._den = den
-        st._vals = nums
-        st._E = (0,) * frame.basis.size
         st._n = 0
         st._hist = []
-        st._seg_total = _vec_total(nums)
-        st._rescaled = False
         st._frame0 = frame.values
-        st._sh = None
-        st._settle()
+        st._start_segment(*_common_den(frame.values), (0,) * frame.basis.size, False)
         return st
 
-    def _spawn(self, vals, den, E, record, sh=None, sherr=None, shscale=0,
-               slack_sh=None, slack_err=0) -> "SequenceState":
-        """The successor state; a rescale ``record`` starts a segment, which
-        begins without shadows (``sh=None``)."""
+    def _start_segment(self, rows, den, E0, rescaled):
+        """Install ``rows`` over ``den`` as the frame, with D = 0 and the
+        partial sum E0, and settle fresh shadows for it."""
+        self._rows, self._den, self._E0, self._rescaled = rows, den, E0, rescaled
+        self._D = (0,) * self.basis.size
+        self._seg_total = tuple(map(sum, zip(*rows)))
+        self._sb = None
+        self._settle()
+
+    def _spawn(self, record) -> "SequenceState":
+        """The successor state with ``record`` appended to the history; the
+        caller installs its frame."""
         st = object.__new__(SequenceState)
         st.basis = self.basis
         st.names = self.names
         st.dim = self.dim
-        st._den = den
-        st._vals = vals
-        st._E = E
         if len(self._hist) == self._n:
             self._hist.append(record)
             st._hist = self._hist
         else:  # a sibling successor already extended the shared history
             st._hist = self._hist[: self._n] + [record]
         st._n = self._n + 1
-        if record.kind == "rescale":
-            d1 = self.dim - 1
-            st._seg_total = tuple(d1 * e + t for e, t in zip(E, _vec_total(vals)))
-            st._rescaled = True
-        else:
-            st._seg_total = self._seg_total
-            st._rescaled = self._rescaled
         st._frame0 = self._frame0
-        st._sh = sh
-        st._sherr = sherr
-        st._shscale = shscale
-        st._slack_sh = slack_sh
-        st._slack_err = slack_err
-        st._settle()
         return st
 
     # -- shadow machinery ----------------------------------------------------
+
+    def _shadows(self) -> tuple[list[int], list[int]]:
+        """The shadows of the frame values at scale 2^_shscale, sb_i - S,
+        and their errors, eb_i + G."""
+        S, G = self._S, self._G
+        return [b - S for b in self._sb], [e + G for e in self._eb]
 
     def _settle(self):
         """Keep the shadows while every one clears the floor 2^_SH_MIN and
         no error exceeds _SH_ERR_MAX; take settled ones from
         ``values.settled_shadows`` otherwise, from scratch at a segment
         start and above the current scale after that."""
-        sh = self._sh
-        if sh is not None and min(sh) >= (1 << _SH_MIN) and max(self._sherr) <= _SH_ERR_MAX:
+        sb = self._sb
+        if sb is not None and min(sb) - self._S >= 1 << _SH_MIN \
+                and max(self._eb) + self._G <= _SH_ERR_MAX:
             return
-        T = None if sh is None else self._shscale
-        T, self._sh = settled_shadows(self.basis, self._vals, self._den, T, sh)
-        self._sherr, self._shscale = (2,) * self.dim, T
+        T, sh = (None, None) if sb is None else (self._shscale, self._shadows()[0])
+        T, self._sb = settled_shadows(self.basis, self._frame_rows(), self._den, T, sh)
+        self._eb, self._S, self._G, self._shscale = (2,) * self.dim, 0, 0, T
         if not self._rescaled:
             d1 = self.dim - 1
-            gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._E))
+            gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._D))
             self._slack_sh = shadow(self.basis, gap, self._den, T)
             self._slack_err = 2
 
+    def _frame_rows(self) -> Sequence[tuple[int, ...]]:
+        """The numerators of the frame values, c_i - D (the rows themselves
+        at a segment start, where D = 0)."""
+        D = self._D
+        return [tuple(map(operator.sub, c, D)) for c in self._rows] if any(D) else self._rows
+
+    def _value(self, i: int) -> ValueVector:
+        """The frame value a_i = c_i - D."""
+        return ValueVector._raw(self.basis, tuple(map(operator.sub, self._rows[i], self._D)),
+                                self._den)
+
     def _cmp_exact(self, i: int, j: int) -> int:
-        vi, vj = self._vals[i], self._vals[j]
-        return self.basis._sign_of_combo(tuple(a - b for a, b in zip(vi, vj)))
+        # a_i - a_j = c_i - c_j: the anchor cancels
+        ci, cj = self._rows[i], self._rows[j]
+        return self.basis._sign_of_combo(tuple(a - b for a, b in zip(ci, cj)))
 
     # -- views ---------------------------------------------------------------
 
@@ -209,7 +215,7 @@ class SequenceState:
 
     @property
     def frame_values(self) -> tuple[ValueVector, ...]:
-        return tuple(ValueVector._raw(self.basis, v, self._den) for v in self._vals)
+        return tuple(ValueVector._raw(self.basis, v, self._den) for v in self._frame_rows())
 
     @property
     def initial_frame_values(self) -> tuple[ValueVector, ...]:
@@ -217,8 +223,9 @@ class SequenceState:
 
     @property
     def partial_sum(self) -> ValueVector:
-        """E: the sum of the values of all steps taken so far."""
-        return ValueVector._raw(self.basis, self._E, self._den)
+        """E: the sum of the values of all steps taken so far, E_seg + D."""
+        return ValueVector._raw(self.basis, tuple(map(operator.add, self._E0, self._D)),
+                                self._den)
 
     @property
     def had_rescale(self) -> bool:
@@ -246,12 +253,13 @@ class SequenceState:
     def _argmin(self, unique: bool) -> int:
         """Index of the smallest value, lowest index on a tie; a tie raises
         AmbiguousDirection when ``unique``."""
-        sh, errs = self._sh, self._sherr
-        shm = min(sh)
-        mi = sh.index(shm)
-        errm = errs[mi]
+        # sh_i - sh_mi <= err_i + err_mi, with the offsets S and G folded in
+        sb, eb = self._sb, self._eb
+        sbm = min(sb)
+        mi = sb.index(sbm)
+        tol = eb[mi] + 2 * self._G
         for i in range(self.dim):
-            if i != mi and sh[i] - shm <= errs[i] + errm:
+            if i != mi and sb[i] - sbm <= eb[i] + tol:
                 break
         else:
             return mi
@@ -291,23 +299,29 @@ class SequenceState:
             )
 
     def _monomial(self, mi: int, count: int, checked: bool) -> "SequenceState":
-        sh, errs = self._sh, self._sherr
-        vm = self._vals[mi]
+        rows, D, S, G = self._rows, self._D, self._S, self._G
+        # a step in mi leaves v(mi) unchanged: a run shares one value object
+        last = self._hist[self._n - 1] if self._n else None
+        same = last is not None and last.kind == "monomial" and last.direction == mi
+        m = last.m_value if same else self._value(mi)
+        vm = m._nums
         cvm = vm if count == 1 else tuple(count * b for b in vm)
-        shm, errm = sh[mi], errs[mi]
+        D1 = tuple(map(operator.add, D, cvm))
+        sb, eb = self._sb, self._eb
+        shm, errm = sb[mi] - S, eb[mi] + G
         cshm, cerrm = count * shm, count * errm
         if not checked:
             # validity: every other value must stay strictly positive after
             # subtracting count * v(mi), which also certifies minimality at
-            # every intermediate step of the run
+            # every intermediate step of the run; a_w - count * v(mi) is
+            # c_w - D1 in the anchored rows
             for w in range(self.dim):
-                if w == mi or sh[w] - cshm > errs[w] + cerrm:
+                if w == mi or sb[w] - S - cshm > eb[w] + G + cerrm:
                     continue
-                sgn = self.basis._sign_of_combo(
-                    tuple(map(operator.sub, self._vals[w], cvm)))
+                sgn = self.basis._sign_of_combo(tuple(map(operator.sub, rows[w], D1)))
                 if sgn < 0:
                     mid = self.basis._sign_of_combo(
-                        tuple(map(operator.sub, self._vals[w], vm)))
+                        tuple(c - d - v for c, d, v in zip(rows[w], D, vm)))
                     if mid < 0:
                         raise DirectionNotMinimal(
                             f"{self.names[mi]} is not minimal: {self.names[w]} is smaller"
@@ -319,29 +333,31 @@ class SequenceState:
                     raise NonPositiveValue(
                         f"value of {self.names[w]} would reach zero"
                     )
-        # every row but mi drops by count * v(mi); list copies, mi fixed up
-        vals = [tuple(map(operator.sub, row, cvm)) for row in self._vals]
-        vals[mi] = vm
-        new_sh = [s - cshm for s in sh]
-        new_sh[mi] = shm
-        new_err = [e + cerrm + 1 for e in errs]
-        new_err[mi] = errm
-        E = tuple(map(operator.add, self._E, cvm))
-        record = StepRecord("monomial", mi,
-                            ValueVector._raw(self.basis, vm, self._den), count)
-        if self._slack_sh is not None:
+        st = self._spawn(StepRecord("monomial", mi, m, count))
+        # only row mi moves: c_mi += count * v(mi), every other c_i stays
+        st._rows = new_rows = list(rows)
+        new_rows[mi] = tuple(map(operator.add, rows[mi], cvm))
+        st._D, st._E0, st._den = D1, self._E0, self._den
+        st._seg_total, st._rescaled = self._seg_total, self._rescaled
+        # every shadow but mi drops by count * sh_mi and gains count * err_mi
+        # + 1 of error: the offsets S and G take that, and entry mi is reset
+        st._S, st._G = S1, G1 = S + cshm, G + cerrm + 1
+        st._sb = new_sb = list(sb)
+        new_sb[mi] = shm + S1
+        st._eb = new_eb = list(eb)
+        new_eb[mi] = errm - G1
+        st._shscale = self._shscale
+        if not self._rescaled:
             d1 = self.dim - 1
-            slack_sh = self._slack_sh - d1 * cshm
-            slack_err = self._slack_err + d1 * cerrm + 1
-        else:
-            slack_sh, slack_err = None, 0
-        return self._spawn(vals, self._den, E, record,
-                           new_sh, new_err, self._shscale, slack_sh, slack_err)
+            st._slack_sh = self._slack_sh - d1 * cshm
+            st._slack_err = self._slack_err + d1 * cerrm + 1
+        st._settle()
+        return st
 
     def current_min(self) -> tuple[int, ValueVector]:
         """Index and value of a minimal frame entry (ties resolved to lowest index)."""
         mi = self._argmin(unique=False)
-        return mi, ValueVector._raw(self.basis, self._vals[mi], self._den)
+        return mi, self._value(mi)
 
     def rescale(self, new_values: Sequence[ValueVector],
                 direction: int | None = None) -> "SequenceState":
@@ -354,26 +370,26 @@ class SequenceState:
             raise ValueError("rescale must supply one value per direction")
         if direction is not None:
             self._check_dir(direction)
-        ref = ValueVector._raw(self.basis, self._vals[0], self._den)
         for v in new_values:
-            v._check_basis(ref)
+            v._check_basis(self._frame0[0])
             if v.sign() <= 0:
                 raise NonPositiveValue("rescaled frame values must stay positive")
         _, m = self.current_min()
         nums, den = _common_den(tuple(new_values))
         full = math.lcm(den, self._den)
-        vals = tuple(tuple(n * (full // den) for n in row) for row in nums)
-        # E' = E + m, re-expressed over the new common denominator
-        E = tuple((e + mm) * (full // self._den)
-                  for e, mm in zip(self._E, m._nums))
-        den = full
+        rows = tuple(tuple(n * (full // den) for n in row) for row in nums)
+        # E' = E_seg + D + m, re-expressed over the new common denominator
+        E = tuple((e + d + mm) * (full // self._den)
+                  for e, d, mm in zip(self._E0, self._D, m._nums))
         record = StepRecord(
             kind="rescale",
             direction=direction,
             m_value=m,
             new_values=tuple(new_values),
         )
-        return self._spawn(vals, den, E, record)
+        st = self._spawn(record)
+        st._start_segment(rows, full, E, True)
+        return st
 
     # -- invariants and reports ----------------------------------------------
 
@@ -382,13 +398,11 @@ class SequenceState:
 
         ``seg`` marks the start of the current rescale-free segment; the
         identity holds within every such segment regardless of which
-        directions were stepped.  The frame is summed afresh here.
+        directions were stepped.  With E = E_seg + D and the anchored rows
+        c_i = a_i + D it reads sum(c) - D == sum(frame_seg), and the rows
+        are summed afresh here.
         """
-        d1 = self.dim - 1
-        return all(
-            d1 * e + t == c
-            for e, t, c in zip(self._E, map(sum, zip(*self._vals)), self._seg_total)
-        )
+        return tuple(map(operator.sub, map(sum, zip(*self._rows)), self._D)) == self._seg_total
 
     def series_bound(self) -> ValueVector:
         """sum(initial frame) / (dim - 1): the ceiling for rescale-free runs."""
@@ -413,7 +427,7 @@ class SequenceState:
         if self._slack_sh < -self._slack_err:
             return -1
         d1 = self.dim - 1
-        gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._E))
+        gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._D))
         return self.basis._sign_of_combo(gap)
 
     def frame_below(self, eps: Fraction) -> bool:
@@ -426,7 +440,7 @@ class SequenceState:
         """
         if any(
             (s - e) * eps.denominator >= (1 << self._shscale) * eps.numerator
-            for s, e in zip(self._sh, self._sherr)
+            for s, e in zip(*self._shadows())
         ):
             return False
         quarter = eps / 4
@@ -587,6 +601,3 @@ def _dominance_break(a: Sequence[ValueVector]) -> int | None:
             return k
     return None
 
-
-def _vec_total(vals: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(sum(col) for col in zip(*vals))

@@ -1,15 +1,17 @@
 """Form transforms, exhaustive order-drop sweeps, ratios, comparability."""
 
+import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import quadseq
+from quadseq import forms
 from quadseq.errors import AmbiguousDirection, CensusTooLarge, NotTerminated, RatioUndefined
 from quadseq.forms import (
     ANTICHAIN_CAP,
@@ -137,10 +139,14 @@ def covering_words(draw, max_length=140, d3_max_degree=2):
     return dim, word, max_degree
 
 
+# no shrink phase: a failing word of up to 140 letters is reported as
+# drawn, in seconds, where shrinking it reran the oracle for minutes
 @given(covering_words())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 def test_order_drop_matches_the_trace_oracle(case):
-    # lanes widen past 5, 13, 29 and 61 letters (6, 14, 30, 62 at max_degree 1)
+    # lanes widen when the largest image of a variable along the word,
+    # times max_degree, passes 2^7, 2^15, 2^31 and 2^63
     dim, word, max_degree = case
     assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
 
@@ -153,20 +159,48 @@ def test_order_drop_matches_the_trace_oracle_on_short_words(case):
     assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
 
 
-# at max_degree 2 and 3 a lane holds len(word) + 3 bits, so these lengths
-# sit on both sides of each step from 1 to 2, 4, 8 and 16 bytes; the d = 3,
-# degree-3 oracle takes seconds on the longer ones
-_BOUNDARIES = (5, 6, 13, 14, 29, 30, 61, 62)
-_BOUNDARY_CASES = ([(2, 3, n) for n in _BOUNDARIES] + [(3, 2, n) for n in _BOUNDARIES]
-                   + [(3, 3, n) for n in _BOUNDARIES[:4]])
+def _boundary_word(dim, length):
+    return [(i * 7 + i // dim) % dim for i in range(length)]
+
+
+# each pair of lengths sits on both sides of a lane step from 1 to 2, 4, 8
+# or 16 bytes along _boundary_word (pinned below); the d = 3, degree-3
+# oracle takes about a second at 36 letters, so it stops at the 8-byte step
+_BOUNDARIES = {
+    (2, 3): ((8, 9), (20, 21), (45, 46), (96, 97)),
+    (3, 2): ((6, 7), (16, 17), (35, 36), (74, 75)),
+    (3, 3): ((6, 7), (15, 16), (35, 36)),
+}
+# the steps of the earlier lanes, sized by max_degree << len(word), stay
+# as oracle words
+_DOUBLING_STEPS = {(2, 3): (5, 6, 13, 14, 29, 30, 61, 62),
+                   (3, 2): (5, 6, 13, 14, 29, 30, 61, 62), (3, 3): (5, 6, 13, 14)}
+_BOUNDARY_CASES = [(d, m, n) for (d, m), pairs in _BOUNDARIES.items()
+                   for n in sorted({*itertools.chain(*pairs), *_DOUBLING_STEPS[d, m]})]
 
 
 @pytest.mark.parametrize("dim, max_degree, length", _BOUNDARY_CASES,
                          ids=[f"d{d}-deg{m}-{n}-letters" for d, m, n in _BOUNDARY_CASES])
 def test_order_drop_matches_the_trace_oracle_at_lane_boundaries(dim, max_degree, length):
-    word = [(i * 7 + i // dim) % dim for i in range(length)]
+    word = _boundary_word(dim, length)
     assert set(word) == set(range(dim))
     assert order_drop_report(dim, word, max_degree) == _oracle_report(dim, word, max_degree)
+
+
+def test_boundary_lengths_straddle_each_lane_step(monkeypatch):
+    widths = []
+
+    def recording(dim, max_degree, lane_bytes):
+        widths.append(lane_bytes)
+        return _antichain_lanes(dim, max_degree, lane_bytes)
+
+    monkeypatch.setattr(forms, "_antichain_lanes", recording)
+    for (dim, max_degree), pairs in _BOUNDARIES.items():
+        for k, (short, long) in enumerate(pairs):
+            widths.clear()
+            for n in (short, long):
+                order_drop_report(dim, _boundary_word(dim, n), max_degree)
+            assert widths == [1 << k, 2 << k], (dim, max_degree, short)
 
 
 # degrees pass 2^40 on these words; ord_trace on every antichain gives
