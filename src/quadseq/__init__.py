@@ -10,7 +10,6 @@ from .errors import (
     EmptyGeneratorSet,
     IncompleteCoverage,
     IndexOutOfRange,
-    KilledDirectionUsed,
     NonPositiveValue,
     NotTerminated,
     QuadseqError,
@@ -64,7 +63,6 @@ __all__ = [
     "EmptyGeneratorSet",
     "IncompleteCoverage",
     "IndexOutOfRange",
-    "KilledDirectionUsed",
     "MonomialForm",
     "MonomialIdeal",
     "NonPositiveValue",

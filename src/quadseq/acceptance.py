@@ -118,7 +118,6 @@ def shared_runs() -> dict[tuple[int, int], tuple[CheckResult, CheckResult, bool]
 
 
 def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
     runs = shared_runs()
     bad = [run for run, (eq631, _, _) in runs.items() if eq631.verdict != "pass"]
     ok = not bad and _runs_seconds < 60.0
@@ -132,12 +131,10 @@ def criterion_1() -> CriterionResult:
     return CriterionResult(
         1, "conservation identity on random runs", ok, summary,
         {"failures": bad, "sweep_seconds": _runs_seconds},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
     runs = shared_runs()
     ceiling_bad = [run for run, (_, bound63, _) in runs.items()
                    if bound63.verdict != "pass"]
@@ -162,7 +159,6 @@ def criterion_2() -> CriterionResult:
         2, "series ceiling and frame-collapse certificate", ok, summary,
         {"ceiling_failures": ceiling_bad, "certified_by_dim": certified,
          "uncertified_runs": missing},
-        time.perf_counter() - t0,
     )
 
 
@@ -175,7 +171,6 @@ def _episode_sums_hold(art: RunArtifacts, laws: dict[int, Fraction]) -> bool:
 
 
 def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
     sc = gen_shannon_418(episodes=30)
     laws = {k: Fraction(8, 3) * (1 - Fraction(1, 4) ** k) for k in range(1, 31)}
     sums_ok = _episode_sums_hold(collect_artifacts(sc), laws)
@@ -187,12 +182,11 @@ def criterion_3() -> CriterionResult:
     )
     return CriterionResult(
         3, "geometric episode sums reach 8/3", ok, summary,
-        {"sums": sums_ok}, time.perf_counter() - t0,
+        {"sums": sums_ok},
     )
 
 
 def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
     sc = gen_notunion_rr1(steps=40)
     basis = sc.frame.basis
     art = collect_artifacts(sc)
@@ -223,12 +217,10 @@ def criterion_4() -> CriterionResult:
     return CriterionResult(
         4, "alternating-pair sums reach 3 with a starving spectator", ok, summary,
         {"m_law": m_ok, "sums": sums_ok, "spectator": spectator, "pinned": pinned},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
     detail = {}
     all_ok = True
     for sc in (gen_713(episodes=1000), gen_714(episodes=1000)):
@@ -267,7 +259,6 @@ def criterion_5() -> CriterionResult:
     )
     return CriterionResult(
         5, "bracketed groups force divergence", all_ok, summary, detail,
-        time.perf_counter() - t0,
     )
 
 
@@ -292,12 +283,11 @@ def criterion_6() -> CriterionResult:
     )
     return CriterionResult(
         6, "order-drop dichotomy, exhaustively", ok, summary,
-        {"words_checked": checked, "failures": bad}, elapsed,
+        {"words_checked": checked, "failures": bad},
     )
 
 
 def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
     basis = RealBasis.default(2)
     frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
     f, g = MonomialForm([(0, 1)]), MonomialForm([(1, 0)])
@@ -360,7 +350,6 @@ def criterion_7() -> CriterionResult:
     return CriterionResult(
         7, "order ratio approaches sqrt(2) with bracketing", ok, summary,
         {"n0": n0, "fired": fired, "orders_match": orders_match},
-        time.perf_counter() - t0,
     )
 
 
@@ -368,7 +357,6 @@ _TIGHT_POOL = [Fraction(3, 4), Fraction(7, 8), Fraction(1), Fraction(9, 8), Frac
 
 
 def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
     frames = (
         [(2, s) for s in range(1, 9)]
         + [(3, s) for s in range(1, 8)]
@@ -408,12 +396,10 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(
         8, "valuation-ideal chains and contraction membership", ok, summary,
         {"problems": problems, "longest_chain": longest},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
     basis = RealBasis.default(2)
     frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
     sc = Scenario("criterion-9", frame, mode="argmin")
@@ -433,12 +419,11 @@ def criterion_9() -> CriterionResult:
     )
     return CriterionResult(
         9, "principality prefix is exact and minimal", ok, summary,
-        {"prefixes": prefixes, "bad": bad}, time.perf_counter() - t0,
+        {"prefixes": prefixes, "bad": bad},
     )
 
 
 def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
     per_dim = 50
     cap = 300
     relabel_bad = []
@@ -499,12 +484,11 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(
         10, "first-use relabeling laws on covering runs", ok, summary,
         {"attempts_by_dim": attempts_by_dim, "gap_range_by_dim": gaps_by_dim,
-         "relabel_bad": relabel_bad, "agree_bad": agree_bad}, time.perf_counter() - t0,
+         "relabel_bad": relabel_bad, "agree_bad": agree_bad},
     )
 
 
 def criterion_11() -> CriterionResult:
-    t0 = time.perf_counter()
     sc = gen_dvr(d=2, steps=10_000)
     basis = sc.frame.basis
     bad_at = None
@@ -524,7 +508,6 @@ def criterion_11() -> CriterionResult:
     return CriterionResult(
         11, "integer-valued runs grow at least linearly", ok, summary,
         {"records": records, "first_shortfall": bad_at},
-        time.perf_counter() - t0,
     )
 
 
@@ -544,6 +527,13 @@ CRITERIA = (
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    """Run the selected criteria (all of them by default), in order."""
+    """Run the selected criteria (all of them by default), in order, each
+    result carrying the wall-clock seconds its criterion took."""
     wanted = set(numbers) if numbers else set(range(1, len(CRITERIA) + 1))
-    return [fn() for i, fn in enumerate(CRITERIA, start=1) if i in wanted]
+    results = []
+    for i, fn in enumerate(CRITERIA, start=1):
+        if i in wanted:
+            t0 = time.perf_counter()
+            results.append(fn())
+            results[-1].seconds = time.perf_counter() - t0
+    return results

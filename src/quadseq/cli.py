@@ -33,7 +33,6 @@ from .checks import (CHECKS, CheckResult, RunArtifacts, collect_artifacts, expla
 from .errors import ConfigError, QuadseqError, UnknownCheck
 from .forms import MonomialForm
 from .gallery import PlanStep, Scenario, _to_int, _to_rational, build_preset, list_presets
-from .monomials import MonomialIdeal
 from .sequence import ParameterFrame
 from .values import RealBasis, ValueVector
 
@@ -68,21 +67,16 @@ def _canonical(obj, width: Fraction):
         return _value_obj(obj, width)
     if isinstance(obj, Fraction):
         return _frac_str(obj)
-    if isinstance(obj, MonomialIdeal):
-        return {"generators": [list(g) for g in obj.generators]}
     if isinstance(obj, MonomialForm):
         return {"support": [list(m) for m in obj.support]}
     if isinstance(obj, dict):
         return {str(k): _canonical(v, width) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(x, width) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_canonical(x, width) for x in obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, float):  # floats are never canonical
-        raise ConfigError(f"refusing to serialize a float: {obj!r}")
-    return repr(obj)
+    # floats are never canonical, and a repr would not be either
+    raise ConfigError(f"refusing to serialize a {type(obj).__name__}: {obj!r}")
 
 
 # -- config parsing --------------------------------------------------------------
@@ -388,22 +382,25 @@ def cmd_run(args) -> int:
 
     json_path = output.get("json")
     csv_path = output.get("csv")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        json_path = os.path.join(args.out, json_path or "report.json")
-        csv_path = os.path.join(args.out, csv_path or "trace.csv")
     payload = report_json(build_report(scenario, results, trace, width, source))
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {json_path}", file=sys.stderr)
-    else:
-        sys.stdout.write(payload)
-    laps.append(("json", time.perf_counter()))
-    if csv_path:
-        write_csv(csv_path, trace)
-        print(f"wrote {csv_path}", file=sys.stderr)
-        laps.append(("csv", time.perf_counter()))
+    try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            json_path = os.path.join(args.out, json_path or "report.json")
+            csv_path = os.path.join(args.out, csv_path or "trace.csv")
+        if json_path:
+            with open(json_path, "w") as fh:
+                fh.write(payload)
+            print(f"wrote {json_path}", file=sys.stderr)
+        else:
+            sys.stdout.write(payload)
+        laps.append(("json", time.perf_counter()))
+        if csv_path:
+            write_csv(csv_path, trace)
+            print(f"wrote {csv_path}", file=sys.stderr)
+            laps.append(("csv", time.perf_counter()))
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output: {exc}") from exc
     for r in results:
         print(f"{r.check}: {r.verdict}", file=sys.stderr)
     if args.timings:

@@ -29,10 +29,6 @@ class IndexOutOfRange(QuadseqError, IndexError):
     """A step or direction index lies outside the valid range."""
 
 
-class KilledDirectionUsed(QuadseqError):
-    """A quotient replay encountered a step in the removed direction."""
-
-
 class IncompleteCoverage(QuadseqError):
     """A direction word was required to use every direction but did not."""
 
@@ -56,8 +52,10 @@ class CensusTooLarge(QuadseqError):
 
     ``estimate`` is the size that exceeded the cap.  For a staircase it
     is a proven upper bound, computed before any monomial is walked; for
-    the antichains it is the count reached when the enumeration stopped,
-    one past the cap, before any sweep table is built.
+    the antichains it is one past the cap, the count at which the
+    enumeration stops before any sweep table is built, or the same number
+    when the top degree's monomials or the single monomials alone prove
+    the cap passed, before any monomial is listed.
     """
 
     def __init__(self, message: str, estimate: int = 0):

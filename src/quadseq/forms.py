@@ -23,6 +23,7 @@ every word length.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -132,8 +133,16 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
     and degree 3, 2,154,533 at d = 4 and degree 3, whose sweep table
     would take 1.3 GiB), so the enumeration counts as it goes and raises
     CensusTooLarge once it passes ``ANTICHAIN_CAP``, before any table is
-    built.
+    built.  It raises before enumerating anything when the count is known
+    to pass the cap: the k = C(D + d - 1, d - 1) monomials of the top
+    degree D are pairwise incomparable, so their 2^k - 1 nonempty subsets
+    are antichains, and so is every single monomial.
     """
+    too_many = (f"more than {ANTICHAIN_CAP} antichains of degree <= {max_degree} "
+                f"in {dim} variables")
+    if (math.comb(max_degree + dim - 1, dim - 1) >= (ANTICHAIN_CAP + 1).bit_length()
+            or math.comb(max_degree + dim, dim) - 1 > ANTICHAIN_CAP):
+        raise CensusTooLarge(too_many, estimate=ANTICHAIN_CAP + 1)
     monos = _nonunit_monomials(dim, max_degree)
     n = len(monos)
     # bit j of clash[i]: monos[i] and monos[j] are distinct and comparable
@@ -150,9 +159,7 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
                 chosen.append(monos[i])
                 out.append(tuple(chosen))
                 if len(out) > ANTICHAIN_CAP:
-                    raise CensusTooLarge(
-                        f"more than {ANTICHAIN_CAP} antichains of degree <= "
-                        f"{max_degree} in {dim} variables", estimate=len(out))
+                    raise CensusTooLarge(too_many, estimate=len(out))
                 rec(i + 1, chosen, blocked | clash[i])
                 chosen.pop()
 

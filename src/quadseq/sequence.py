@@ -20,8 +20,8 @@ refinement otherwise, so a 10^4-step run costs fractions of a second
 without ever trusting a float.  Every state is born with settled
 shadows: a step keeps the ones it inherits while they are precise
 enough and takes fresh ones from ``values.settled_shadows`` otherwise.
-Argmin, scripted and run-length steps and the quotient replay all go
-through one step kernel, ``_monomial``.
+Argmin, scripted and run-length steps all go through one step kernel,
+``_monomial``.
 
 Callers that need only the letters of an argmin run read them from
 ``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
@@ -42,7 +42,6 @@ from .errors import (
     DirectionNotMinimal,
     IncompleteCoverage,
     IndexOutOfRange,
-    KilledDirectionUsed,
     NonPositiveValue,
 )
 from .monomials import MonomialIdeal, rewrite_monomial
@@ -102,7 +101,6 @@ class StepRecord(NamedTuple):
     direction: Optional[int]
     m_value: ValueVector
     count: int = 1
-    new_values: Optional[tuple[ValueVector, ...]] = None
 
     @property
     def carries_direction(self) -> bool:
@@ -116,7 +114,7 @@ class SequenceState:
         "basis", "names", "dim",
         "_den", "_rows", "_D", "_E0", "_n", "_hist",
         "_seg_total", "_rescaled", "_frame0",
-        "_sb", "_S", "_eb", "_G", "_shscale", "_slack_sh", "_slack_err",
+        "_sb", "_S", "_eb", "_G", "_shscale", "_slack_sh",
     )
 
     # -- construction --------------------------------------------------------
@@ -173,7 +171,8 @@ class SequenceState:
         """Keep the shadows while every one clears the floor 2^_SH_MIN and
         no error exceeds _SH_ERR_MAX; take settled ones from
         ``values.settled_shadows`` otherwise, from scratch at a segment
-        start and above the current scale after that."""
+        start and above the current scale after that.  A refresh in a
+        rescale-free segment also takes the gap row's, which ``_gap_shadow`` moves."""
         sb = self._sb
         if sb is not None and min(sb) - self._S >= 1 << _SH_MIN \
                 and max(self._eb) + self._G <= _SH_ERR_MAX:
@@ -185,7 +184,6 @@ class SequenceState:
             d1 = self.dim - 1
             gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._D))
             self._slack_sh = shadow(self.basis, gap, self._den, T)
-            self._slack_err = 2
 
     def _frame_rows(self) -> Sequence[tuple[int, ...]]:
         """The numerators of the frame values, c_i - D (the rows themselves
@@ -348,9 +346,7 @@ class SequenceState:
         new_eb[mi] = errm - G1
         st._shscale = self._shscale
         if not self._rescaled:
-            d1 = self.dim - 1
-            st._slack_sh = self._slack_sh - d1 * cshm
-            st._slack_err = self._slack_err + d1 * cerrm + 1
+            st._slack_sh = self._slack_sh
         st._settle()
         return st
 
@@ -381,13 +377,7 @@ class SequenceState:
         # E' = E_seg + D + m, re-expressed over the new common denominator
         E = tuple((e + d + mm) * (full // self._den)
                   for e, d, mm in zip(self._E0, self._D, m._nums))
-        record = StepRecord(
-            kind="rescale",
-            direction=direction,
-            m_value=m,
-            new_values=tuple(new_values),
-        )
-        st = self._spawn(record)
+        st = self._spawn(StepRecord("rescale", direction, m))
         st._start_segment(rows, full, E, True)
         return st
 
@@ -419,16 +409,22 @@ class SequenceState:
             raise ValueError("the series bound does not apply after a rescale")
         if self.dim < 2:
             raise ValueError("the series bound needs at least two directions")
-        # the gap equals sum(frame)/(d-1) whenever the conservation identity
-        # holds, so its shadow lives at the frame scale and is maintained
-        # incrementally alongside the frame shadows
-        if self._slack_sh > self._slack_err:
+        sh, err = self._gap_shadow()
+        if sh > err:
             return 1
-        if self._slack_sh < -self._slack_err:
+        if sh < -err:
             return -1
         d1 = self.dim - 1
         gap = tuple(c - d1 * e for c, e in zip(self._seg_total, self._D))
         return self.basis._sign_of_combo(gap)
+
+    def _gap_shadow(self) -> tuple[int, int]:
+        """The shadow of the gap row (d-1)*(bound - E) at scale 2^_shscale
+        and its error: a run in w takes (d-1)*count*v(w) off the row, and S
+        and G take up count*sh_w and more than count*err_w, so the shadow
+        is the refresh's less (d-1)*S, within 2 + (d-1)*G."""
+        d1 = self.dim - 1
+        return self._slack_sh - d1 * self._S, 2 + d1 * self._G
 
     def frame_below(self, eps: Fraction) -> bool:
         """Interval-certified: every current frame value is below eps.
@@ -546,32 +542,6 @@ class SequenceState:
             "prefix_dominance": dominance,
             "all_hold": ascending and gap_integer is not None and dominance,
         }
-
-    def quotient_sequence(self, killed: int) -> "SequenceState":
-        """Replay the same steps with one direction removed from the frame."""
-        self._check_dir(killed)
-        if self.dim < 2:
-            raise ValueError("nothing would remain after removing a direction")
-        keep = [i for i in range(self.dim) if i != killed]
-        names = tuple(self.names[i] for i in keep)
-        st = SequenceState.from_frame(
-            ParameterFrame(tuple(self._frame0[i] for i in keep), names)
-        )
-        for rec in self._hist[: self._n]:
-            if rec.direction == killed:
-                raise KilledDirectionUsed(
-                    f"step in removed direction {self.names[killed]}"
-                )
-            if rec.kind == "monomial":
-                proj = keep.index(rec.direction)
-                st = st.run_in_direction(proj, rec.count)
-            else:
-                st = st.rescale(
-                    tuple(rec.new_values[i] for i in keep),
-                    direction=None if rec.direction is None
-                    else keep.index(rec.direction),
-                )
-        return st
 
 
 def argmin_word(frame: ParameterFrame | Sequence[ValueVector]) -> Iterator[int]:

@@ -271,16 +271,8 @@ class ValueVector:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self._den) for n in self._nums)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(n == 0 for n in self._nums)
-
     def serialize(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def deserialize(cls, basis: RealBasis, obj: Sequence[str]) -> "ValueVector":
-        return cls(basis, [Fraction(s) for s in obj])
 
     def __repr__(self):
         parts = []

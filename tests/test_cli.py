@@ -9,10 +9,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quadseq
 from quadseq import cli, gallery
 from quadseq.checks import CheckResult, collect_artifacts
+from quadseq.errors import ConfigError
 from quadseq.forms import ANTICHAIN_CAP
 
 ALL_CHECKS = [
@@ -738,3 +741,91 @@ def test_timings_name_each_phase_and_leave_the_report_alone(tmp_path, capsys):
     assert "run took" in err
     for name in ("report.json", "trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "rr1.json"
+    cfg.write_text(json.dumps({"preset": "rr1", "steps": 4,
+                               "output": {"json": str(tmp_path / "no/such/dir/rep.json")}}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    # --out naming an existing regular file cannot become a directory
+    assert cli.main(["run", "--preset", "rr1", "--steps", "4", "--out", str(cfg)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0.5, {1, 2}, object()], ids=["float", "set", "object"])
+def test_build_report_refuses_a_detail_without_a_canonical_form(value):
+    scenario = gallery.build_preset("dvr", steps=2)
+    width = Fraction(1, 10**6)
+    with pytest.raises(ConfigError, match="refusing to serialize"):
+        cli.build_report(scenario, [CheckResult("eq631", "pass", {"x": [value]})], [],
+                         width, "preset:dvr")
+
+
+# the two README configs and a scripted config with a rescale: the seeds
+# that the config fuzz test below mutates, one value at a time
+_FUZZ_SEEDS = [
+    {"preset": "rr1", "steps": 40, "preset_options": {"embed3d": True},
+     "checks": ["switching-witness"],
+     "output": {"json": "rep.json", "csv": "trace.csv", "interval_width": "1/1000000"}},
+    {"name": "golden-pair", "dimension": 2, "basis": ["one", {"sqrt": 2}],
+     "frame": [["1", "0"], ["0", "1"]], "mode": "argmin", "steps": 30,
+     "checks": ["eq631", "ratio-limit", "tau-bound"]},
+    {"dimension": 3, "frame": ["1", "3", "5"], "mode": "scripted",
+     "names": ["x", "y", "z"],
+     "plan": [{"kind": "monomial", "direction": 0},
+              {"kind": "monomial", "direction": 0, "count": 1},
+              {"kind": "rescale", "values": ["2", "1", "3/2"]},
+              {"kind": "monomial", "direction": 1},
+              {"kind": "monomial", "direction": 2}],
+     "boundaries": [2, 5], "checks": ["eq631", "series-sum", "thm33a"]},
+]
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON value, the empty path (the value itself) first."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+_FUZZ_KEYS = ["json", "csv", "interval_width", "embed3d", "sqrt", "kind",
+              "direction", "count", "values", "d", "max_degree", "windows"]
+_fuzz_scalars = (st.integers(-2, 8)
+                 | st.sampled_from(["1/2", "", ".", "one", "-1", "0"])
+                 | st.text("0123456789/.-ex", max_size=3)
+                 | st.booleans() | st.none() | st.floats())
+_fuzz_values = (_fuzz_scalars
+                | st.lists(_fuzz_scalars, max_size=3)
+                | st.dictionaries(st.sampled_from(_FUZZ_KEYS) | st.text(max_size=3),
+                                  _fuzz_scalars, max_size=3))
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    seed = draw(st.sampled_from(_FUZZ_SEEDS))
+    path = draw(st.sampled_from(list(_paths(seed))))
+    return _replaced(seed, path, draw(_fuzz_values))
+
+
+# about 10 s: at 3,000 examples the output-path fault (an unwritable json
+# or csv path escaping as an OSError) showed up several times per run
+@given(_fuzzed_configs())
+@settings(max_examples=3000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_fuzzed_config_exits_with_a_code_and_never_raises(monkeypatch, tmp_path, cfg):
+    # 0: every check passed, 1: a check's verdict was fail, 2: refused
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", "cfg.json"]) in (0, 1, 2)

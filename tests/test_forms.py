@@ -56,10 +56,26 @@ def test_transform_form_example():
 def test_antichain_counts_frozen():
     assert len(enumerate_antichains(2, 3)) == 40
     assert len(enumerate_antichains(3, 3)) == 2496
-    # d = 4 has 2,154,533: the enumeration stops one past the cap
+    # d = 4 has 2,154,533: refused one past the cap, before any table
     with pytest.raises(CensusTooLarge) as exc:
         enumerate_antichains(4, 3)
     assert exc.value.estimate == ANTICHAIN_CAP + 1
+
+
+@pytest.mark.parametrize("dim, max_degree", [(3, 30), (2, 10**6), (1, 10**6), (4, 3)])
+def test_a_sweep_past_the_cap_is_refused_before_any_monomial_is_listed(
+        monkeypatch, dim, max_degree):
+    # the top degree alone, or the single monomials, pass the cap; (3, 30)
+    # used to list 5,455 monomials and a clash table over them first
+    def unlisted(*_):
+        raise AssertionError("the monomials of a refused sweep were listed")
+
+    monkeypatch.setattr(forms, "_nonunit_monomials", unlisted)
+    with pytest.raises(CensusTooLarge) as exc:
+        enumerate_antichains(dim, max_degree)
+    assert exc.value.estimate == ANTICHAIN_CAP + 1
+    assert str(exc.value) == (f"more than 100000 antichains of degree <= {max_degree} "
+                              f"in {dim} variables")
 
 
 @pytest.mark.parametrize("dim, max_degree, lane_bytes",

@@ -98,7 +98,7 @@ def test_monomial_value():
     frame = [basis.rational(1), basis.value([0, 1])]
     v = monomial_value(frame, (2, 1))
     assert v.coeffs == (F(2), F(1))
-    assert monomial_value(frame, (0, 0)).is_zero
+    assert monomial_value(frame, (0, 0)).sign() == 0
 
 
 monomials2 = st.tuples(st.integers(0, 4), st.integers(0, 4))

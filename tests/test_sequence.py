@@ -15,7 +15,6 @@ from quadseq.errors import (
     DirectionNotMinimal,
     IncompleteCoverage,
     IndexOutOfRange,
-    KilledDirectionUsed,
     NonPositiveValue,
 )
 from quadseq.gallery import _FRACTION_POOL, diagonal_frame
@@ -272,13 +271,10 @@ def test_quotient_drops_spectator_direction():
     )
     state, _ = run_argmin(SequenceState.from_frame(frame), 10)
     assert state.direction_counts()["z"] == 0
-    q = state.quotient_sequence(2)
     flat, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 10)
-    assert [r.m_value.coeffs for r in q.history] == [
+    assert [r.m_value.coeffs for r in state.history] == [
         r.m_value.coeffs for r in flat.history
     ]
-    with pytest.raises(KilledDirectionUsed):
-        state.quotient_sequence(0)
 
 
 def _settled(state):
@@ -381,8 +377,7 @@ class _Oracle:
         self.vals = list(new_values)
         self.E = self.E + m
         self.total = None
-        self.hist.append(StepRecord("rescale", direction, m,
-                                    new_values=tuple(new_values)))
+        self.hist.append(StepRecord("rescale", direction, m))
 
     def ceiling_sign(self):
         """Sign of sum(initial frame)/(d-1) - E; None after a rescale."""
@@ -400,16 +395,20 @@ def _assert_agrees(state, oracle):
 def _assert_invariants(state, oracle):
     """The conservation identity, the sign of the series-ceiling gap, and
     every derived shadow within its derived error of the value at the
-    shadow scale, |sh_i - 2^T * a_i| <= err_i, decided exactly."""
+    shadow scale, |sh_i - 2^T * a_i| <= err_i, decided exactly; the gap
+    row (d-1)*(bound - E) is held to its shadow the same way."""
     assert state.conservation_check()
     sign = oracle.ceiling_sign()
+    shadows = list(zip(*state._shadows(), oracle.vals))
     if sign is None:
         with pytest.raises(ValueError, match="after a rescale"):
             state.bound_gap_sign()
     else:
         assert state.bound_gap_sign() == sign
+        gap = oracle.total - oracle.E.scale(len(oracle.vals) - 1)
+        shadows.append((*state._gap_shadow(), gap))
     scale = 2 ** state._shscale
-    for sh, err, v in zip(*state._shadows(), oracle.vals):
+    for sh, err, v in shadows:
         assert (v.scale(scale) - v.basis.rational(sh - err)).sign() >= 0
         assert (v.basis.rational(sh + err) - v.scale(scale)).sign() >= 0
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadseq.errors import BasisMismatch
 from quadseq.sequence import ParameterFrame
-from quadseq.values import OneGenerator, RealBasis, SqrtGenerator, ValueVector, value_cmp
+from quadseq.values import OneGenerator, RealBasis, SqrtGenerator, value_cmp
 
 getcontext().prec = 80
 
@@ -49,7 +49,7 @@ def test_arithmetic_is_exact():
     assert (a - b).coeffs == (F(1), F(1, 6))
     assert (a.scale(F(2, 3))).coeffs == (F(1), F(1, 3))
     assert (-a).coeffs == (F(-3, 2), F(-1, 2))
-    assert (a - a).is_zero
+    assert (a - a).sign() == 0
 
 
 def test_equality_is_coefficientwise():
@@ -147,7 +147,7 @@ def test_a_nonzero_vector_over_an_accepted_basis_has_the_oracle_sign(radicands, 
     except ValueError:
         assume(False)
     v = basis.value(coeffs[:basis.size])
-    assume(not v.is_zero)
+    assume(any(coeffs[:basis.size]))
     sign = v.sign()
     assert sign != 0
     d = as_decimal(v)
@@ -248,10 +248,9 @@ def test_unit_free_basis_matches_the_doubling_loop(coeffs):
     assert v.evaluate_interval(width) == _interval_by_doubling(v, width)
 
 
-def test_serialize_round_trip():
+def test_serialize_writes_reduced_fractions():
     v = B2.value([F(-3, 2), F(7)])
     assert v.serialize() == ["-3/2", "7"]
-    assert ValueVector.deserialize(B2, v.serialize()) == v
 
 
 rationals = st.fractions(
@@ -293,4 +292,4 @@ def test_scaling_respects_order(coeffs, q):
     elif q < 0:
         assert v.scale(q).sign() == -s
     else:
-        assert v.scale(q).is_zero
+        assert v.scale(q).sign() == 0
