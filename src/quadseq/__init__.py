@@ -26,7 +26,6 @@ from .forms import (
 from .gallery import (
     PlanStep,
     Scenario,
-    TermGroup,
     build_preset,
     list_presets,
     replay_states,
@@ -74,7 +73,6 @@ __all__ = [
     "RealBasis",
     "Scenario",
     "SequenceState",
-    "TermGroup",
     "UnknownCheck",
     "ValueVector",
     "build_preset",

@@ -37,7 +37,7 @@ from .errors import (
 from .forms import (ANTICHAIN_CAP, MonomialForm, order_drop_report,
                     order_drop_verdict, ratio_limit_report)
 from .gallery import Scenario, _to_int, _to_rational, replay_states
-from .monomials import MonomialIdeal, extend_ideal, monomial_value
+from .monomials import MonomialIdeal, extend_ideal, monomial_value, rewrite_monomial
 from .sequence import SequenceState, argmin_word
 from .values import ValueVector
 from .videals import ideal_value, short_chain_report, tau_bound, videal_chain
@@ -415,28 +415,31 @@ def _check_series_sum(art: RunArtifacts, options: dict) -> CheckResult:
 
 
 def _check_change_of_direction(art: RunArtifacts, options: dict) -> CheckResult:
-    final = art.final
-    limit = 0
-    for rec in final.history:
-        if rec.kind != "monomial":
-            break
-        limit += 1
-    limit = min(limit, options["prefix_cap"])
-    if limit == 0:
-        return CheckResult("change-of-direction", "not applicable",
-                           {"reason": "no monomial-only prefix to compare on"})
+    """Walk the monomial-only prefix once, up to ``prefix_cap`` records.
+    After record n the value route asks whether m_0 > m_(n-1); the ideal
+    route carries the maximal ideal's generators through the record, a
+    run in closed form, and asks whether their least degree is >= 2."""
+    history = art.final.history
+    gens = MonomialIdeal.maximal(art.final.dim).generators
     disagreements = []
     first_change = None
-    for n in range(1, limit + 1):
-        via_value = final.change_of_direction(n, method="value")
-        via_ideal = final.change_of_direction(n, method="ideal")
-        if via_value != via_ideal:
-            disagreements.append(n)
+    compared = 0
+    for rec in history[: options["prefix_cap"]]:
+        if rec.kind != "monomial":
+            break
+        compared += 1
+        gens = [rewrite_monomial(g, rec.direction, rec.count) for g in gens]
+        via_value = history[0].m_value.cmp(rec.m_value) > 0
+        if via_value != (min(map(sum, gens)) >= 2):
+            disagreements.append(compared)
         if first_change is None and via_value:
-            first_change = n
+            first_change = compared
+    if compared == 0:
+        return CheckResult("change-of-direction", "not applicable",
+                           {"reason": "no monomial-only prefix to compare on"})
     verdict = "pass" if not disagreements else "fail"
     return CheckResult("change-of-direction", verdict, {
-        "prefixes_compared": limit,
+        "prefixes_compared": compared,
         "disagreements": disagreements,
         "first_change_at": first_change,
     })

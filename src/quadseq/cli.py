@@ -372,6 +372,24 @@ def cmd_run(args) -> int:
     if width <= 0:
         raise ConfigError("interval width must be positive")
 
+    # the output paths are refused before the replay, not after it
+    json_path = output.get("json")
+    csv_path = output.get("csv")
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the output: {exc}") from exc
+        json_path = os.path.join(args.out, json_path or "report.json")
+        csv_path = os.path.join(args.out, csv_path or "trace.csv")
+    for path in filter(None, (json_path, csv_path)):
+        if "\0" in path:
+            raise ConfigError(f"cannot write the output: {path!r} holds a NUL byte")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write the output: {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write the output: no directory for {path}")
+
     laps = [("", time.perf_counter())]
     art = collect_artifacts(scenario)
     laps.append(("replay", time.perf_counter()))
@@ -380,14 +398,8 @@ def cmd_run(args) -> int:
     results = run_checks(art, check_ids, options)
     laps.append(("checks", time.perf_counter()))
 
-    json_path = output.get("json")
-    csv_path = output.get("csv")
     payload = report_json(build_report(scenario, results, trace, width, source))
     try:
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            json_path = os.path.join(args.out, json_path or "report.json")
-            csv_path = os.path.join(args.out, csv_path or "trace.csv")
         if json_path:
             with open(json_path, "w") as fh:
                 fh.write(payload)

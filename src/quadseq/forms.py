@@ -144,6 +144,8 @@ def enumerate_antichains(dim: int, max_degree: int) -> tuple[tuple[Monomial, ...
             or math.comb(max_degree + dim, dim) - 1 > ANTICHAIN_CAP):
         raise CensusTooLarge(too_many, estimate=ANTICHAIN_CAP + 1)
     monos = _nonunit_monomials(dim, max_degree)
+    if dim == 1:  # any two monomials are comparable: no clash table needed
+        return tuple((m,) for m in monos)
     n = len(monos)
     # bit j of clash[i]: monos[i] and monos[j] are distinct and comparable
     clash = [

@@ -2,11 +2,11 @@
 
 Each generator returns a Scenario holding a frame, a step plan (or an
 argmin budget), and whatever closed forms are known for it: exact
-partial sums at episode boundaries, a limit, or a divergence law carried
-by a lazy (count, value) term stream.  Plans that script directions are
-only valid because each scripted step's direction really is minimal at
-that point; replaying through SequenceState enforces this, so a bad plan
-fails loudly rather than producing a quiet wrong trace.
+partial sums at episode boundaries, a limit, or divergence.  Plans that
+script directions are only valid because each scripted step's direction
+really is minimal at that point; replaying through SequenceState
+enforces this, so a bad plan fails loudly rather than producing a quiet
+wrong trace.
 """
 
 from __future__ import annotations
@@ -56,23 +56,9 @@ class PlanStep:
     new_values: tuple[ValueVector, ...] | None = None
 
 
-@dataclass(frozen=True)
-class TermGroup:
-    """A run of identical step values; bracketed groups each sum to 1."""
-
-    count: int
-    value: Fraction
-    bracketed: bool = False
-
-
 @dataclass
 class Scenario:
-    """A frame with its step plan (or argmin budget) and known closed forms.
-
-    ``term_groups(k)`` streams the step values of the first k episodes as
-    (count, value) groups.  Only the divergent doubling plans gmr-7.13 and
-    gmr-7.14 carry one, for acceptance criterion 5's bracketing argument.
-    """
+    """A frame with its step plan (or argmin budget) and known closed forms."""
 
     name: str
     frame: ParameterFrame
@@ -83,7 +69,6 @@ class Scenario:
     sum_after_episodes: Callable[[int], Fraction] | None = None
     expected_limit: Fraction | None = None
     diverges: bool = False
-    term_groups: Callable[[int], Iterator[TermGroup]] | None = None
     seed: int | None = None
     notes: str = ""
 
@@ -237,13 +222,6 @@ def gen_713(episodes: int = 20) -> Scenario:
     def law(k: int) -> Fraction:
         return k + 2 - 2 * Fraction(1, 2) ** k
 
-    def stream(k: int) -> Iterator[TermGroup]:
-        for n in range(k):
-            c = Fraction(1, 2) ** n
-            yield TermGroup(2 ** n, c, bracketed=True)
-            yield TermGroup(1, c / 2)
-            yield TermGroup(1, c / 2)
-
     return Scenario(
         name="gmr-7.13",
         frame=_rat_frame(basis, [1, Fraction(3, 2)], names=("y", "z")),
@@ -251,7 +229,6 @@ def gen_713(episodes: int = 20) -> Scenario:
         boundaries=tuple(boundaries),
         sum_after_episodes=law,
         diverges=True,
-        term_groups=stream,
         notes="bulk doubling episodes; divergent series",
     )
 
@@ -297,20 +274,6 @@ def gen_714(episodes: int = 20) -> Scenario:
         # 3 + sum over 1 <= n < k of (1 + 4^-n), in closed form
         return k + 2 + (1 - Fraction(1, 4) ** (k - 1)) / 3
 
-    def stream(k: int) -> Iterator[TermGroup]:
-        if k >= 1:
-            yield TermGroup(1, Fraction(1), bracketed=True)
-            yield TermGroup(1, Fraction(1))
-            yield TermGroup(1, Fraction(1, 2))
-            yield TermGroup(1, Fraction(1, 4))
-            yield TermGroup(1, Fraction(1, 4))
-        for n in range(1, k):
-            c = Fraction(1, 4) ** n
-            yield TermGroup(4 ** n, c, bracketed=True)
-            yield TermGroup(1, c / 2)
-            yield TermGroup(1, c / 4)
-            yield TermGroup(1, c / 4)
-
     return Scenario(
         name="gmr-7.14",
         frame=_rat_frame(
@@ -319,7 +282,6 @@ def gen_714(episodes: int = 20) -> Scenario:
         boundaries=tuple(boundaries),
         sum_after_episodes=law,
         diverges=True,
-        term_groups=stream,
         notes="bulk quadrupling episodes after a prologue; divergent series",
     )
 

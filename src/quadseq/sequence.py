@@ -44,7 +44,6 @@ from .errors import (
     IndexOutOfRange,
     NonPositiveValue,
 )
-from .monomials import MonomialIdeal, rewrite_monomial
 from .values import _SH_MIN, RealBasis, ValueVector, _common_den, settled_shadows, shadow
 
 DEFAULT_NAMES = ("x", "y", "z", "w", "v", "u")
@@ -480,28 +479,6 @@ class SequenceState:
                 if remaining <= 0:
                     break
         return {self.names[i] for i in range(self.dim) if i not in seen}
-
-    def change_of_direction(self, n: int, method: str = "value") -> bool:
-        """Did the sequence leave its first infinitely-near point by step n?
-
-        ``value`` compares the first step value with step n-1's; ``ideal``
-        asks whether the extension of the maximal ideal along the first n
-        records has order at least 2, rewriting through each run-length
-        record in closed form, so a bulk run costs one rewrite per
-        generator.  The two agree on argmin runs.
-        """
-        if not 1 <= n <= self._n:
-            raise IndexOutOfRange(f"prefix length {n} outside 1..{self._n}")
-        if method == "value":
-            return self.m_value(0).cmp(self.m_value(n - 1)) > 0
-        if method == "ideal":
-            gens = MonomialIdeal.maximal(self.dim).generators
-            for rec in self._hist[:n]:
-                if rec.kind != "monomial":
-                    raise ValueError("ideal route needs a monomial-only prefix")
-                gens = [rewrite_monomial(g, rec.direction, rec.count) for g in gens]
-            return MonomialIdeal(gens, dim=self.dim).order() >= 2
-        raise ValueError(f"unknown method {method!r}")
 
     def first_use_order_report(self) -> dict:
         """Order the directions by first monomial use and test the initial frame.

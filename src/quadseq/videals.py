@@ -189,15 +189,19 @@ class _FrameData:
         return levels
 
 
+def _is_corner(inside: set, c: Monomial) -> bool:
+    """Whether every c - x_j is in the staircase ``inside``."""
+    return all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside for j, e in enumerate(c))
+
+
 def _absorb(inside: set, corners: set, m: Monomial) -> None:
     """Move m from ``corners``, the minimal monomials outside the staircase
-    ``inside``, into it; each m + x_i whose every c - x_j is now inside
-    becomes a corner."""
+    ``inside``, into it; each m + x_i that ``_is_corner`` now becomes one."""
     corners.discard(m)
     inside.add(m)
     for i in range(len(m)):
         c = m[:i] + (m[i] + 1,) + m[i + 1:]
-        if all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside for j, e in enumerate(c)):
+        if _is_corner(inside, c):
             corners.add(c)
 
 
@@ -231,9 +235,7 @@ def videal_at(frame: FrameLike, threshold: ValueVector, strict: bool = False) ->
     if not nodes:
         return MonomialIdeal._raw([(0,) * data.dim], data.dim)
     inside = {node[0] for node in nodes}
-    corners = [c for c in rejected
-               if all(e == 0 or c[:j] + (e - 1,) + c[j + 1:] in inside
-                      for j, e in enumerate(c))]
+    corners = [c for c in rejected if _is_corner(inside, c)]
     return MonomialIdeal._raw(corners, data.dim)
 
 

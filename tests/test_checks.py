@@ -1,6 +1,7 @@
 """The check registry: verdicts, applicability gating, and explanations."""
 
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from quadseq.checks import (
 )
 from quadseq.errors import ConfigError, UnknownCheck
 from quadseq.gallery import (
+    PlanStep,
     Scenario,
     build_preset,
     gen_713,
@@ -282,6 +284,32 @@ def test_a_replay_builds_the_initial_state_once(monkeypatch):
     assert art.final.frame_values == sc.frame.values
 
 
+def test_change_of_direction_both_routes():
+    # argmin from (1, sqrt2) takes 1 and then sqrt2 - 1: the sequence
+    # moves at the second record, by both routes
+    basis = RealBasis.default(2)
+    frame = ParameterFrame([basis.rational(1), basis.value([0, 1])])
+    (res,) = run_checks(Scenario("sqrt2", frame, mode="argmin", steps=12),
+                        ["change-of-direction"])
+    assert res.verdict == "pass"
+    assert res.detail == {"prefixes_compared": 12, "disagreements": [],
+                          "first_change_at": 2}
+
+
+def test_change_of_direction_through_a_bulk_run_of_10_12_steps():
+    # the ideal route rewrites through a run-length record in closed form;
+    # letter by letter this run would take hours and an 8 TB word
+    count = 10**12
+    start = time.perf_counter()
+    basis = RealBasis.default(2)
+    frame = ParameterFrame([basis.rational(1), basis.rational(count + F(1, 2))])
+    plan = (PlanStep("monomial", 0, count=count), PlanStep("monomial", 1))
+    (res,) = run_checks(Scenario("bulk", frame, plan=plan), ["change-of-direction"])
+    assert res.detail == {"prefixes_compared": 2, "disagreements": [],
+                          "first_change_at": 2}
+    assert time.perf_counter() - start < 1.0
+
+
 # -- a check can fail: each mutant patches a library function the check
 # reads, never the check's own verdict code, and takes the verdict on the
 # same scenario from pass to fail; the scenario is built before patching,
@@ -321,8 +349,8 @@ def _law_drops_the_last_episode(monkeypatch, sc):
 
 
 def _run_count_off_by_one(monkeypatch, sc):
-    rewrite = sequence.rewrite_monomial
-    monkeypatch.setattr(sequence, "rewrite_monomial",
+    rewrite = checks.rewrite_monomial
+    monkeypatch.setattr(checks, "rewrite_monomial",
                         lambda m, direction, count=1: rewrite(m, direction, count - 1))
 
 

@@ -754,6 +754,26 @@ def test_an_unwritable_output_path_exits_two(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_an_unwritable_output_path_is_refused_before_the_replay(tmp_path, monkeypatch, capsys):
+    def no_replay(scenario):
+        raise AssertionError("replayed before the output paths were checked")
+
+    monkeypatch.setattr(cli, "collect_artifacts", no_replay)
+    cfg = tmp_path / "rr1.json"
+    cfg.write_text(json.dumps({"preset": "rr1", "steps": 4,
+                               "output": {"json": str(tmp_path / "no/such/dir/rep.json")}}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert cli.main(["run", "--preset", "rr1", "--steps", "4", "--out", str(cfg)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    # so are a json path that is a directory and one that open() cannot take
+    for path in (str(tmp_path), "rep\0.json"):
+        cfg.write_text(json.dumps({"preset": "rr1", "output": {"json": path}}))
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rr1.json"]
+
+
 @pytest.mark.parametrize("value", [0.5, {1, 2}, object()], ids=["float", "set", "object"])
 def test_build_report_refuses_a_detail_without_a_canonical_form(value):
     scenario = gallery.build_preset("dvr", steps=2)

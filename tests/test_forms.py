@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,33 @@ def test_antichain_counts_frozen():
     with pytest.raises(CensusTooLarge) as exc:
         enumerate_antichains(4, 3)
     assert exc.value.estimate == ANTICHAIN_CAP + 1
+
+
+def _antichains_by_clash(dim, max_degree):
+    """The antichains in the clash-table order, by pairwise divisibility."""
+    monos = forms._nonunit_monomials(dim, max_degree)
+    out = []
+
+    def rec(start, chosen):
+        for i in range(start, len(monos)):
+            if not any(divides(a, monos[i]) or divides(monos[i], a) for a in chosen):
+                out.append(tuple(chosen) + (monos[i],))
+                rec(i + 1, chosen + [monos[i]])
+
+    rec(0, [])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dim, max_degree", [(1, 1), (1, 7), (1, 200), (2, 3), (3, 2)])
+def test_antichains_equal_the_clash_table_order(dim, max_degree):
+    assert enumerate_antichains(dim, max_degree) == _antichains_by_clash(dim, max_degree)
+
+
+def test_single_variable_antichains_skip_the_clash_table():
+    # one variable: every monomial is its own antichain, with no quadratic table
+    start = time.perf_counter()
+    assert len(enumerate_antichains.__wrapped__(1, 2000)) == 2000
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("dim, max_degree", [(3, 30), (2, 10**6), (1, 10**6), (4, 3)])

@@ -1,4 +1,4 @@
-"""Preset scenarios: episode laws, series limits, and divergence streams."""
+"""Preset scenarios: episode laws, series limits, and divergent step values."""
 
 import itertools
 from fractions import Fraction as F
@@ -166,25 +166,31 @@ def test_713_boundary_sums_diverge():
     assert sc.diverges and sc.expected_limit is None
 
 
-def test_713_stream_groups():
-    groups = list(gen_713(episodes=1000).term_groups(1000))
-    bracketed = [g for g in groups if g.bracketed]
-    assert len(bracketed) == 1000
-    assert all(g.count * g.value == 1 for g in bracketed)
+def bracketed_groups(sc):
+    """(running sum, group value) at each episode's opening record, its
+    bracketed group: record 0, then the record after each boundary."""
+    opens = {0, *sc.boundaries}
     total = F(0)
-    seen = 0
-    for g in groups:
-        total += g.count * g.value
-        if g.bracketed:
-            seen += 1
-            assert total >= seen
+    out = []
+    for n, rec in enumerate(collect_artifacts(sc).final.history):
+        term = rec.count * rational(rec.m_value)
+        total += term
+        if n in opens:
+            out.append((total, term))
+    return out
+
+
+def test_713_stream_groups():
+    groups = bracketed_groups(gen_713(episodes=1000))
+    assert len(groups) == 1000
+    assert all(term == 1 for _, term in groups)
+    assert all(total >= k for k, (total, _) in enumerate(groups, start=1))
 
 
 def test_713_first_five_terms():
-    groups = list(gen_713(episodes=2).term_groups(2))
     flat = []
-    for g in groups:
-        flat += [g.value] * min(g.count, 5)
+    for rec in collect_artifacts(gen_713(episodes=2)).final.history:
+        flat += [rational(rec.m_value)] * min(rec.count, 5)
     assert flat[:5] == [F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 2)]
     assert sum(flat[:5]) == 3
 
@@ -203,15 +209,9 @@ def test_714_prologue_and_law():
 
 
 def test_714_stream_divergence():
-    groups = list(gen_714(episodes=400).term_groups(400))
-    total = F(0)
-    seen = 0
-    for g in groups:
-        total += g.count * g.value
-        if g.bracketed:
-            seen += 1
-    assert seen == 400
-    assert total >= seen
+    groups = bracketed_groups(gen_714(episodes=400))
+    assert len(groups) == 400
+    assert groups[-1][0] >= 400
 
 
 # -- integer frame -------------------------------------------------------------

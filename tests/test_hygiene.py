@@ -2,7 +2,8 @@
 comes from the standard library or the package, every private helper and
 every slot of the package is used somewhere in it, and every public
 function and every public method or property of a package class is read
-by a package module or allowlisted."""
+by a package module or allowlisted; and ``sequence`` imports no package
+module but ``values`` and ``errors``."""
 
 import ast
 import sys
@@ -180,3 +181,28 @@ def test_an_added_unread_method_fails_the_gate():
                if isinstance(n, ast.ClassDef) and n.name == "ValueVector")
     cls.body.append(ast.parse("def orphan(self):\n    pass\n").body[0])
     assert _unread_methods(trees) == UNREAD_METHODS | {"values.ValueVector.orphan"}
+
+
+# the package modules the step engine may import: it knows values, not ideals
+SEQUENCE_IMPORTS = {"errors", "values"}
+
+
+def _package_imports(tree):
+    """The package modules a module imports (relatively, the only way the
+    stdlib gate above leaves)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+def test_sequence_imports_only_values_and_errors():
+    extra = _package_imports(_trees()["sequence.py"]) - SEQUENCE_IMPORTS
+    assert not extra, f"sequence.py imports package modules {sorted(extra)}"
+
+
+def test_an_added_package_import_fails_the_layering_gate():
+    tree = _trees()["sequence.py"]
+    tree.body.append(ast.parse("from .monomials import divides").body[0])
+    assert _package_imports(tree) - SEQUENCE_IMPORTS == {"monomials"}

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 from fractions import Fraction as F
 
 import pytest
@@ -173,32 +172,6 @@ def test_starving_directions_count_steps_inside_a_bulk_run():
     assert bulk.starving_directions(2) == single.starving_directions(2) == {"x"}
     for window in range(6):
         assert bulk.starving_directions(window) == single.starving_directions(window)
-
-
-def test_change_of_direction_both_routes():
-    state, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 12)
-    assert state.change_of_direction(1, "value") is False
-    assert state.change_of_direction(2, "value") is True
-    assert state.change_of_direction(1, "ideal") is False
-    assert state.change_of_direction(2, "ideal") is True
-    for n in range(1, 13):
-        assert state.change_of_direction(n, "value") == state.change_of_direction(n, "ideal")
-    with pytest.raises(IndexOutOfRange):
-        state.change_of_direction(13)
-
-
-def test_change_of_direction_through_a_bulk_run_of_10_12_steps():
-    # the ideal route rewrites through a run-length record in closed form;
-    # letter by letter this run would take hours and an 8 TB word
-    count = 10**12
-    start = time.perf_counter()
-    frame = ParameterFrame([B2.rational(1), B2.rational(count + F(1, 2))])
-    state = SequenceState.from_frame(frame).run_in_direction(0, count)
-    state = state.step_in_direction(1)
-    routes = [(state.change_of_direction(n, "value"), state.change_of_direction(n, "ideal"))
-              for n in (1, 2)]
-    assert routes == [(False, False), (True, True)]
-    assert time.perf_counter() - start < 1.0
 
 
 def test_idle_directions_is_where_prefix_dominance_breaks():
