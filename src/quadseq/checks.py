@@ -39,7 +39,7 @@ from .forms import (ANTICHAIN_CAP, MonomialForm, order_drop_report,
 from .gallery import Scenario, _to_int, _to_rational, replay_states
 from .monomials import MonomialIdeal, extend_ideal, monomial_value, rewrite_monomial
 from .sequence import SequenceState, argmin_word
-from .values import ValueVector
+from .values import ValueVector, rational_rank
 from .videals import ideal_value, short_chain_report, tau_bound, videal_chain
 
 # every option a check reads: (default, least value).  small_threshold
@@ -82,27 +82,6 @@ class RunArtifacts:
     bound_fail_step: int | None  # None: the ceiling held at every record
     bound_reason: str  # why the ceiling does not apply; "" when it does
     boundary_sums: list[ValueVector]
-
-
-def frame_rationally_independent(values: Sequence[ValueVector]) -> bool:
-    """Exact rank test: no nonzero integer combination of the values is 0."""
-    rows = [list(v.coeffs) for v in values]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / prow[c]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank == len(rows)
 
 
 def collect_artifacts(scenario: Scenario) -> RunArtifacts:
@@ -168,7 +147,7 @@ def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
                            {"reason": art.bound_reason})
     final = art.final
     values = final.initial_frame_values
-    independent = frame_rationally_independent(values)
+    independent = rational_rank(values) == len(values)
     detail: dict = {
         "records": final.step_count,
         "bound": final.series_bound(),
@@ -301,7 +280,7 @@ def _check_videal_chain(art: RunArtifacts, options: dict) -> CheckResult:
     skipped = next((a["n"] for a, b in zip(chain, chain[1:])
                     if _outside_reaches_above(frame, b["ideal"], a["threshold"])), None)
     colengths = [e["colength"] for e in chain]
-    independent = frame_rationally_independent(frame.values)
+    independent = rational_rank(frame.values) == len(frame.values)
     ok = (descending and mismatch is None and skipped is None
           and all(c >= 1 for c in colengths))
     if independent:

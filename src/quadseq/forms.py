@@ -45,7 +45,7 @@ from .monomials import (
     _validate_monomial,
 )
 from .sequence import ParameterFrame, argmin_word
-from .values import ValueVector
+from .values import ValueVector, rational_rank
 
 
 class MonomialForm:
@@ -278,23 +278,6 @@ def order_drop_verdict(report: dict) -> bool:
 # -- order ratios along an argmin word ----------------------------------------
 
 
-def _rational_ratio(f_val: ValueVector, g_val: ValueVector) -> Fraction | None:
-    """q with f == q * g if such a rational exists, else None."""
-    fc, gc = f_val.coeffs, g_val.coeffs
-    q = None
-    for a, b in zip(fc, gc):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = a / b
-        if q is None:
-            q = r
-        elif q != r:
-            return None
-    return q
-
-
 def ratio_limit_report(
     frame: ParameterFrame,
     f: MonomialForm,
@@ -323,8 +306,9 @@ def ratio_limit_report(
         trace.append({"n": n, "ordF": ord_f, "ordG": ord_g})
     f_val = value_of_form(frame.values, f)
     g_val = value_of_form(frame.values, g)
-    q = _rational_ratio(f_val, g_val)
-    if q is not None:
+    if rational_rank((f_val, g_val)) == 1:
+        # f = q*g, with q read at the first nonzero coefficient of g
+        q = next(a / b for a, b in zip(f_val.coeffs, g_val.coeffs) if b)
         limit = {"kind": "rational", "num": q.numerator, "den": q.denominator}
     else:
         width = Fraction(1, 10**12)

@@ -13,7 +13,9 @@ Writing 1 as sqrt(1), square roots are independent over Q exactly when no
 two radicands multiply to a perfect square (Besicovitch 1940), and that
 is the rule ``RealBasis`` enforces.  So only the zero coefficient vector
 denotes 0, refinement always terminates, and equality of coefficient
-vectors is equality of the denoted reals.
+vectors is equality of the denoted reals.  For the same reason the
+rational rank of a list of values (``rational_rank``) is the rank of its
+coefficient rows, found by exact integer elimination.
 
 Code that compares many values first tries their integer shadows: at a
 scale T, the shadow of a value is an integer within 2 of the value times
@@ -26,8 +28,9 @@ whose gap the shadows' error covers goes to exact sign refinement.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BasisMismatch
 
@@ -58,63 +61,33 @@ def _sqrt_fixpoint(n: int, bits: int) -> int:
 
 
 class Generator:
-    """A single basis element: sqrt(n), with a refinement oracle."""
+    """sqrt(n) for a positive integer n, with a refinement oracle.  n = 1
+    is the rational unit, written "one"; its fixpoint is exact, because
+    isqrt(2^(2b)) = 2^b."""
 
-    key: object
-    n: int
-    is_rational: bool
-
-    def fixpoint(self, bits: int) -> int:
-        """Integer f with |f - g*2^bits| <= 1 (exact when ``is_rational``)."""
-        raise NotImplementedError
-
-    def to_obj(self):
-        raise NotImplementedError
-
-
-class OneGenerator(Generator):
-    """The rational unit 1, which is sqrt(1) to the independence rule."""
-
-    key = "one"
-    n = 1
-    is_rational = True
-
-    def fixpoint(self, bits: int) -> int:
-        return 1 << bits
-
-    def to_obj(self):
-        return "one"
-
-    def __repr__(self):
-        return "1"
-
-
-class SqrtGenerator(Generator):
-    """sqrt(n) for a positive integer n."""
-
-    is_rational = False
+    __slots__ = ("n",)
 
     def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
             raise ValueError(f"sqrt radicand must be a positive integer, got {n!r}")
         self.n = n
-        self.key = ("sqrt", n)
 
     def fixpoint(self, bits: int) -> int:
+        """Integer f with |f - sqrt(n)*2^bits| <= 1 (exact when n = 1)."""
         return _sqrt_fixpoint(self.n, bits)
 
     def to_obj(self):
-        return {"sqrt": self.n}
+        return "one" if self.n == 1 else {"sqrt": self.n}
 
     def __repr__(self):
-        return f"sqrt{self.n}"
+        return "1" if self.n == 1 else f"sqrt{self.n}"
 
 
 def _generator_from_obj(obj) -> Generator:
     if obj == "one":
-        return OneGenerator()
+        return Generator(1)
     if isinstance(obj, dict) and set(obj) == {"sqrt"}:
-        return SqrtGenerator(obj["sqrt"])
+        return Generator(obj["sqrt"])
     raise ValueError(f"unknown basis generator: {obj!r}")
 
 
@@ -127,7 +100,7 @@ class RealBasis:
         gens = tuple(generators)
         if not gens:
             raise ValueError("basis needs at least one generator")
-        keys = [g.key for g in gens]
+        keys = tuple(g.n for g in gens)
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate basis generators in {list(gens)}")
         for i, g in enumerate(gens):
@@ -136,10 +109,8 @@ class RealBasis:
                     raise ValueError(f"basis generators {g!r} and {h!r} are rationally "
                                      f"dependent: {g.n} * {h.n} is a perfect square")
         self.generators = gens
-        self._key = tuple(keys)
-        self._one_index = next(
-            (i for i, g in enumerate(gens) if isinstance(g, OneGenerator)), None
-        )
+        self._key = keys
+        self._one_index = keys.index(1) if 1 in keys else None
 
     @classmethod
     def default(cls, size: int) -> "RealBasis":
@@ -148,9 +119,7 @@ class RealBasis:
             raise ValueError("basis size must be >= 1")
         if size - 1 > len(_SMALL_PRIMES):
             raise ValueError("default basis supports at most 13 generators")
-        gens: list[Generator] = [OneGenerator()]
-        gens += [SqrtGenerator(p) for p in _SMALL_PRIMES[: size - 1]]
-        return cls(gens)
+        return cls([Generator(n) for n in (1,) + _SMALL_PRIMES[: size - 1]])
 
     @property
     def size(self) -> int:
@@ -219,7 +188,7 @@ class RealBasis:
             if n == 0:
                 continue
             s += n * g.fixpoint(bits)
-            if not g.is_rational:
+            if g.n != 1:
                 err += abs(n)
         return s, err
 
@@ -279,7 +248,7 @@ class ValueVector:
         for c, g in zip(self.coeffs, self.basis.generators):
             if c == 0:
                 continue
-            parts.append(f"{c}" if g.is_rational else f"{c}*{g!r}")
+            parts.append(f"{c}" if g.n == 1 else f"{c}*{g!r}")
         return f"<{' + '.join(parts) or '0'}>"
 
     # -- arithmetic ----------------------------------------------------------
@@ -290,37 +259,26 @@ class ValueVector:
                 f"values over different bases: {self.basis!r} vs {other.basis!r}"
             )
 
-    def __add__(self, other: "ValueVector") -> "ValueVector":
+    def _combine(self, op, other: "ValueVector") -> "ValueVector":
+        """self op other for ``operator.add`` or ``operator.sub``, over the
+        shared denominator or else over the lcm of the two."""
         self._check_basis(other)
         if self._den == other._den:
             return ValueVector._raw(
-                self.basis,
-                tuple(a + b for a, b in zip(self._nums, other._nums)),
-                self._den,
-            )
+                self.basis, tuple(map(op, self._nums, other._nums)), self._den)
         den = math.lcm(self._den, other._den)
         sa, sb = den // self._den, den // other._den
         return ValueVector._raw(
             self.basis,
-            tuple(a * sa + b * sb for a, b in zip(self._nums, other._nums)),
+            tuple(op(a * sa, b * sb) for a, b in zip(self._nums, other._nums)),
             den,
         )
 
+    def __add__(self, other: "ValueVector") -> "ValueVector":
+        return self._combine(operator.add, other)
+
     def __sub__(self, other: "ValueVector") -> "ValueVector":
-        self._check_basis(other)
-        if self._den == other._den:
-            return ValueVector._raw(
-                self.basis,
-                tuple(a - b for a, b in zip(self._nums, other._nums)),
-                self._den,
-            )
-        den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        return ValueVector._raw(
-            self.basis,
-            tuple(a * sa - b * sb for a, b in zip(self._nums, other._nums)),
-            den,
-        )
+        return self._combine(operator.sub, other)
 
     def __neg__(self) -> "ValueVector":
         return ValueVector._raw(self.basis, tuple(-n for n in self._nums), self._den)
@@ -344,29 +302,23 @@ class ValueVector:
     def sign(self) -> int:
         return self.basis._sign_of_combo(self._nums)
 
+    def _diff(self, other: "ValueVector") -> Iterator[int]:
+        """Numerators with the sign of self - other, one at a time:
+        cross-multiplied when the denominators differ, so a comparison
+        builds no value."""
+        if self._den == other._den:
+            return map(operator.sub, self._nums, other._nums)
+        return (a * other._den - b * self._den for a, b in zip(self._nums, other._nums))
+
     def cmp(self, other: "ValueVector") -> int:
         """-1, 0 or +1 by the order of the denoted real numbers."""
         self._check_basis(other)
-        if self._den == other._den:
-            diff = tuple(a - b for a, b in zip(self._nums, other._nums))
-        else:
-            diff = tuple(
-                a * other._den - b * self._den
-                for a, b in zip(self._nums, other._nums)
-            )
-        return self.basis._sign_of_combo(diff)
+        return self.basis._sign_of_combo(tuple(self._diff(other)))
 
     def __eq__(self, other):
         if not isinstance(other, ValueVector):
             return NotImplemented
-        if self.basis != other.basis:
-            return False
-        if self._den == other._den:
-            return self._nums == other._nums
-        return all(
-            a * other._den == b * self._den
-            for a, b in zip(self._nums, other._nums)
-        )
+        return self.basis == other.basis and not any(self._diff(other))
 
     def __hash__(self):
         g = math.gcd(self._den, *(abs(n) for n in self._nums))
@@ -404,7 +356,7 @@ class ValueVector:
             raise ValueError("interval width must be positive")
         basis = self.basis
         need = 2 * max_width.denominator * sum(
-            abs(n) for n, g in zip(self._nums, basis.generators) if not g.is_rational)
+            abs(n) for n, g in zip(self._nums, basis.generators) if g.n != 1)
         if need == 0:
             one = basis.one_index
             q = Fraction(0 if one is None else self._nums[one], self._den)
@@ -426,6 +378,30 @@ def _common_den(vectors: Sequence[ValueVector]):
         tuple(n * (den // v._den) for n in v._nums) for v in vectors
     )
     return nums, den
+
+
+def rational_rank(values: Sequence[ValueVector]) -> int:
+    """Dimension over Q of the span of the values.
+
+    Each numerator row is reduced against the pivot rows kept so far by
+    integer cross-multiplication (its denominator only scales the row)
+    and divided by its gcd, so entries do not grow exponentially with
+    the rank; a row that stays nonzero is a new pivot.
+    """
+    pivots: list[tuple[int, Sequence[int]]] = []
+    for v in values:
+        v._check_basis(values[0])
+        row = v._nums
+        for c, p in pivots:
+            if row[c]:
+                a, b = p[c], row[c]
+                row = [a * x - b * y for x, y in zip(row, p)]
+                g = math.gcd(*row) or 1
+                row = [x // g for x in row]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            pivots.append((lead, row))
+    return len(pivots)
 
 
 def shadow(basis: RealBasis, nums: Sequence[int], den: int, T: int) -> int:

@@ -11,7 +11,6 @@ from quadseq.checks import (
     CHECKS,
     collect_artifacts,
     explain,
-    frame_rationally_independent,
     list_checks,
     parse_options,
     run_checks,
@@ -28,7 +27,7 @@ from quadseq.gallery import (
     gen_shannon_418,
 )
 from quadseq.sequence import ParameterFrame, SequenceState
-from quadseq.values import RealBasis
+from quadseq.values import RealBasis, rational_rank
 
 REQUIRED_IDS = {
     "eq631", "bound63", "switching-witness", "thm33a", "prop344",
@@ -49,11 +48,11 @@ def test_registry_has_the_required_ids():
 def test_independence_detector():
     b2 = RealBasis.default(2)
     indep = [b2.rational(1), b2.value([0, 1])]
-    assert frame_rationally_independent(indep)
+    assert rational_rank(indep) == 2
     dep = [b2.rational(1), b2.rational(F(3, 2))]
-    assert not frame_rationally_independent(dep)
+    assert rational_rank(dep) == 1
     mixed = [b2.value([1, 1]), b2.value([0, 1]), b2.rational(2)]
-    assert not frame_rationally_independent(mixed)
+    assert rational_rank(mixed) == 2
 
 
 def test_random_scenario_core_checks_pass():

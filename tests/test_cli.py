@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import quadseq
 from quadseq import cli, gallery
+from quadseq.acceptance import CriterionResult
 from quadseq.checks import CheckResult, collect_artifacts
 from quadseq.errors import ConfigError
 from quadseq.forms import ANTICHAIN_CAP
@@ -247,14 +248,15 @@ def test_non_integer_config_values_exit_two(tmp_path, capsys, cfg, where):
     # these two used to escape from RealBasis as a raw ValueError
     (["one", {"sqrt": -3}], "got -3"),
     (["one", {"sqrt": 2}, {"sqrt": 2}], "duplicate basis generators in [1, sqrt2, sqrt2]"),
+    (["one", {"sqrt": 1}], "duplicate basis generators in [1, 1]"),
     (["one", {"cbrt": 2}], "unknown basis generator: {'cbrt': 2}"),
     (5, "must be a list of generators"),
     # these three used to be accepted, though some vector over each denotes 0
     (["one", {"sqrt": 4}], "basis generators 1 and sqrt4 are rationally dependent"),
     (["one", {"sqrt": 2}, {"sqrt": 8}], "sqrt2 and sqrt8 are rationally dependent"),
     ([{"sqrt": 3}, {"sqrt": 12}], "sqrt3 and sqrt12 are rationally dependent"),
-], ids=["fractional", "bool", "negative", "repeated", "unknown", "not-a-list",
-        "square", "same-squarefree-part", "no-unit"])
+], ids=["fractional", "bool", "negative", "repeated", "sqrt-one-repeats-one", "unknown",
+        "not-a-list", "square", "same-squarefree-part", "no-unit"])
 def test_bad_basis_exits_two(tmp_path, capsys, basis, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dimension": 2, "basis": basis, "frame": ["1", "3/2"]}))
@@ -262,6 +264,18 @@ def test_bad_basis_exits_two(tmp_path, capsys, basis, needle):
     err = capsys.readouterr().err
     assert err.startswith("config error: basis")
     assert needle in err
+
+
+def test_sqrt_one_is_the_rational_unit(tmp_path):
+    # {"sqrt": 1} used to be an irrational generator, so this basis refused
+    # the frame entry "3/2" with "basis has no rational unit generator"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dimension": 2, "basis": [{"sqrt": 1}, {"sqrt": 2}],
+                                "frame": ["3/2", ["0", "1"]], "steps": 3}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["scenario"]["basis"] == ["one", {"sqrt": 2}]
 
 
 def test_a_dependent_basis_exits_two_before_any_replay(monkeypatch, tmp_path, capsys):
@@ -630,8 +644,39 @@ def test_rationals_serialized_as_strings(tmp_path):
 
 
 def test_verify_requires_all_flag():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])
+    assert exc.value.code == 2
+
+
+def _fake_criteria(monkeypatch, oks):
+    results = [CriterionResult(n, f"title {n}", ok, f"summary {n}", seconds=0.25 * n)
+               for n, ok in enumerate(oks, 1)]
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda: results)
+    return results
+
+
+def test_verify_prints_each_verdict_and_the_tally(monkeypatch, capsys):
+    results = _fake_criteria(monkeypatch, [True, False])
+    assert cli.main(["verify", "--all"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [r.line() for r in results] + [
+        "1/2 criteria passed; failing: [2]"]
+    assert err == ""
+
+
+def test_verify_exits_zero_when_every_criterion_passes(monkeypatch, capsys):
+    _fake_criteria(monkeypatch, [True, True])
+    assert cli.main(["verify", "--all"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2/2 criteria passed"
+
+
+def test_verify_timings_go_to_stderr(monkeypatch, capsys):
+    _fake_criteria(monkeypatch, [True, False])
+    assert cli.main(["verify", "--all", "--timings"]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["  criterion 1 took 0.25s", "  criterion 2 took 0.50s"]
+    assert "took" not in out
 
 
 _THM33A_D4 = """

@@ -106,6 +106,19 @@ def test_a_sweep_past_the_cap_is_refused_before_any_monomial_is_listed(
                               f"in {dim} variables")
 
 
+def test_a_sweep_that_passes_the_pre_check_is_refused_inside_the_walk(monkeypatch):
+    # degree 4 in 3 variables: 15 top-degree monomials and 34 in all pass
+    # the pre-check, so the walk itself counts past the cap
+    listed = []
+    real = forms._nonunit_monomials
+    monkeypatch.setattr(forms, "_nonunit_monomials",
+                        lambda *args: listed.append(args) or real(*args))
+    with pytest.raises(CensusTooLarge) as exc:
+        enumerate_antichains.__wrapped__(3, 4)
+    assert listed == [(3, 4)]
+    assert exc.value.estimate == ANTICHAIN_CAP + 1
+
+
 @pytest.mark.parametrize("dim, max_degree, lane_bytes",
                          [(2, 3, 1), (3, 2, 2), (3, 3, 1), (3, 3, 16)])
 def test_antichain_lanes_layout(dim, max_degree, lane_bytes):
@@ -297,6 +310,72 @@ def test_ratio_report_rational_limit():
         frame_1_sqrt2(), MonomialForm([(2, 0)]), MonomialForm([(1, 0)]), 5
     )
     assert report["limit"] == {"kind": "rational", "num": 2, "den": 1}
+
+
+def _rational_ratio(f_val, g_val):
+    """q with f == q * g if such a rational exists, else None: the
+    coefficient scan ratio_limit_report used to run, kept as the oracle."""
+    q = None
+    for a, b in zip(f_val.coeffs, g_val.coeffs):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        if q is None:
+            q = a / b
+        elif q != a / b:
+            return None
+    return q
+
+
+B3 = RealBasis.default(3)
+
+
+def frame_1_sqrt2_sqrt3():
+    return ParameterFrame([B3.rational(1), B3.value([0, 1, 0]), B3.value([0, 0, 1])])
+
+
+@pytest.mark.parametrize("frame, f, g, expected", [
+    (frame_1_sqrt2, [(2, 0)], [(1, 0)], F(2)),
+    (frame_1_sqrt2, [(3, 0)], [(2, 0)], F(3, 2)),
+    (frame_1_sqrt2, [(0, 3)], [(0, 1)], F(3)),
+    (frame_1_sqrt2, [(2, 0), (0, 2)], [(1, 0)], F(2)),
+    # over two generators, with no rational part to read q at
+    (frame_1_sqrt2_sqrt3, [(0, 2, 2)], [(0, 1, 1)], F(2)),
+    (frame_1_sqrt2, [(0, 1)], [(1, 0)], None),
+    (frame_1_sqrt2, [(2, 1)], [(1, 1)], None),
+    (frame_1_sqrt2_sqrt3, [(0, 2, 1)], [(0, 1, 1)], None),
+    (frame_1_sqrt2_sqrt3, [(1, 1, 0)], [(0, 0, 1)], None),
+    # a unit f has order 0 and value 0
+    (frame_1_sqrt2, [(0, 0)], [(1, 0)], F(0)),
+    (frame_1_sqrt2_sqrt3, [(0, 0, 0)], [(0, 1, 1)], F(0)),
+], ids=["2", "3/2", "3", "two-monomials", "two-generators", "sqrt2", "sqrt2-mixed",
+        "irrational-two-generators", "irrational-mixed", "unit-f", "unit-f-d3"])
+def test_ratio_limit_matches_the_coefficient_scan(frame, f, g, expected):
+    frame = frame()
+    f, g = MonomialForm(f), MonomialForm(g)
+    q = _rational_ratio(value_of_form(frame.values, f), value_of_form(frame.values, g))
+    assert q == expected
+    limit = ratio_limit_report(frame, f, g, 3)["limit"]
+    if q is None:
+        assert limit["kind"] == "irrational"
+    else:
+        assert limit == {"kind": "rational", "num": q.numerator, "den": q.denominator}
+
+
+def test_an_irrational_limit_near_zero_narrows_its_enclosure_until_it_is_positive():
+    # eps = p - q*sqrt2, about 2^-143: the first enclosures of the ratio
+    # eps/1 reach below 0, so the loop narrows them until lo > 0
+    p, q = 3, 2
+    while p.bit_length() < 140:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    eps = B2.value([p, -q])
+    frame = ParameterFrame([B2.rational(1), eps])
+    limit = ratio_limit_report(frame, MonomialForm([(0, 1)]), MonomialForm([(1, 0)]), 5)["limit"]
+    assert limit["kind"] == "irrational"
+    lo, hi = F(limit["interval"]["lo"]), F(limit["interval"]["hi"])
+    assert lo > 0
+    assert B2.rational(lo) <= eps <= B2.rational(hi)
 
 
 def test_ratio_undefined_for_unit_denominator():

@@ -16,7 +16,7 @@ from quadseq.errors import (
     IndexOutOfRange,
     NonPositiveValue,
 )
-from quadseq.gallery import _FRACTION_POOL, diagonal_frame
+from quadseq.gallery import _FRACTION_POOL, diagonal_frame, gen_random_independent
 from quadseq.sequence import (
     _SH_ERR_MAX,
     _SH_MIN,
@@ -590,3 +590,14 @@ def test_a_value_near_two_to_the_minus_2000_settles_in_few_rounds(monkeypatch):
     assert len(set(scales)) <= 6
     oracle = _Oracle(frame)
     _argmin_phase(state, oracle, 5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_bound_gap_sign_falls_back_to_the_exact_sign(monkeypatch, d):
+    # a gap shadow whose error covers everything leaves every sign to the
+    # exact row (d-1)*(bound - E)
+    monkeypatch.setattr(SequenceState, "_gap_shadow", lambda self: (0, 1 << 4096))
+    state = SequenceState.from_frame(gen_random_independent(d, seed=0).frame)
+    for _ in range(500):
+        state, _w = state.step_argmin()
+        assert state.bound_gap_sign() == 1

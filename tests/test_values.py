@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadseq.errors import BasisMismatch
 from quadseq.sequence import ParameterFrame
-from quadseq.values import OneGenerator, RealBasis, SqrtGenerator, value_cmp
+from quadseq.values import Generator, RealBasis, rational_rank, value_cmp
 
 getcontext().prec = 80
 
@@ -122,8 +122,17 @@ def test_an_independent_basis_in_any_order_is_accepted():
     assert basis.value([1, -3, 0]).sign() == -1  # 2*sqrt2 < 3
 
 
-def _generator(n):
-    return OneGenerator() if n == 1 else SqrtGenerator(n)
+def test_sqrt_one_is_the_unit():
+    # {"sqrt": 1} used to be an irrational generator, so this basis had no
+    # rational unit and refused rationals
+    basis = RealBasis.from_obj([{"sqrt": 1}, {"sqrt": 2}])
+    assert basis == B2 and hash(basis) == hash(B2)
+    assert basis.to_obj() == ["one", {"sqrt": 2}]
+    assert basis.rational("3/2").coeffs == (F(3, 2), 0)
+    with pytest.raises(ValueError, match=r"duplicate basis generators in \[1, 1\]"):
+        RealBasis.from_obj(["one", {"sqrt": 1}])
+    for bits in (0, 1, 64, 300, 5000):
+        assert Generator(1).fixpoint(bits) == 1 << bits
 
 
 @given(st.integers(1, 300), st.integers(1, 300))
@@ -131,7 +140,7 @@ def _generator(n):
 def test_two_radicands_are_refused_exactly_when_their_product_is_a_square(a, b):
     square = any(k * k == a * b for k in range(1, 301))
     try:
-        RealBasis([_generator(a), _generator(b)])
+        RealBasis([Generator(a), Generator(b)])
     except ValueError:
         assert square
     else:
@@ -143,7 +152,7 @@ def test_two_radicands_are_refused_exactly_when_their_product_is_a_square(a, b):
 @settings(max_examples=300, deadline=None)
 def test_a_nonzero_vector_over_an_accepted_basis_has_the_oracle_sign(radicands, coeffs):
     try:
-        basis = RealBasis([_generator(n) for n in radicands])
+        basis = RealBasis([Generator(n) for n in radicands])
     except ValueError:
         assume(False)
     v = basis.value(coeffs[:basis.size])
@@ -160,6 +169,8 @@ def test_basis_mismatch():
         B2.value([1, 0]).cmp(B3.value([1, 0, 0]))
     with pytest.raises(BasisMismatch):
         B2.value([1, 0]) + B3.value([1, 0, 0])
+    with pytest.raises(BasisMismatch):
+        rational_rank([B2.value([1, 0]), RealBasis.from_obj(["one", {"sqrt": 3}]).value([0, 1])])
     assert B2.value([1, 0]) != B3.value([1, 0, 0])
 
 
@@ -221,7 +232,7 @@ def test_interval_matches_the_doubling_loop(case):
     assert lo <= hi and hi - lo <= width
 
 
-UNIT_FREE = RealBasis([SqrtGenerator(2), SqrtGenerator(3)])
+UNIT_FREE = RealBasis([Generator(2), Generator(3)])
 
 
 def test_zero_over_a_unit_free_basis_is_the_point_zero():
@@ -293,3 +304,48 @@ def test_scaling_respects_order(coeffs, q):
         assert v.scale(q).sign() == -s
     else:
         assert v.scale(q).sign() == 0
+
+
+def _rank_by_fractions(values):
+    """The Fraction Gauss-Jordan elimination rational_rank replaced: the oracle."""
+    rows = [list(v.coeffs) for v in values]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                factor = rows[r][c] / prow[c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@st.composite
+def _rank_cases(draw):
+    basis = RealBasis.default(draw(st.integers(1, 4)))
+    coeff = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6)
+    values = []
+    for _ in range(draw(st.integers(1, 5))):
+        if values and draw(st.booleans()):
+            # a rational combination of earlier rows, so the rank falls short
+            v = basis.zero()
+            for w in values:
+                v = v + w.scale(draw(st.fractions(min_value=-50, max_value=50,
+                                                  max_denominator=20)))
+        else:
+            v = basis.value([draw(coeff) for _ in range(basis.size)])
+        values.append(v)
+    return values
+
+
+@given(_rank_cases())
+@settings(max_examples=300, deadline=None)
+def test_rational_rank_matches_the_fraction_elimination(values):
+    assert rational_rank(values) == _rank_by_fractions(values)

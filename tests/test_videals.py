@@ -274,6 +274,23 @@ def brute_values(vals, bound):
                   key=functools.cmp_to_key(lambda a, b: a.cmp(b)))
 
 
+def test_levels_closer_than_their_shadows_are_sorted_exactly():
+    # x = 1 + eps with eps = p - q*sqrt2 about 2^-143: the values k + a*eps
+    # of each degree k share one shadow, and the census meets x before y,
+    # so only the exact sort puts 1 before 1 + eps
+    p, q = 3, 2
+    while p.bit_length() < 140:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    vals = [B2.value([1 + p, -q]), B2.rational(1)]
+    frame = ParameterFrame(vals)
+    bound = vals[0].scale(3)
+    brute = sorted({monomial_value(vals, m)
+                    for m in itertools.product(range(4), repeat=2) if sum(m) <= 3})
+    assert enumerate_values(frame, bound) == brute
+    thresholds = [e["threshold"] for e in videal_chain(frame, 8)]
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+
+
 def test_enumerate_values_beyond_int64():
     # rows of 10^17 times exponents up to 100 used to wrap in int64
     basis = RealBasis.default(1)
