@@ -8,7 +8,6 @@ from .errors import (
     ConfigError,
     DirectionNotMinimal,
     EmptyGeneratorSet,
-    IncompleteCoverage,
     IndexOutOfRange,
     NonPositiveValue,
     NotTerminated,
@@ -60,7 +59,6 @@ __all__ = [
     "ConfigError",
     "DirectionNotMinimal",
     "EmptyGeneratorSet",
-    "IncompleteCoverage",
     "IndexOutOfRange",
     "MonomialForm",
     "MonomialIdeal",

@@ -190,23 +190,19 @@ def criterion_4() -> CriterionResult:
     sc = gen_notunion_rr1(steps=40)
     basis = sc.frame.basis
     art = collect_artifacts(sc)
-    final = art.final
     # record 2k is the step worth 2^-k, record 2k+1 the rescale worth 2^-(k+1)
     m_ok = all(
-        final.m_value(j) == basis.rational(Fraction(1, 2) ** (divmod(j, 2)[0] + divmod(j, 2)[1]))
-        for j in range(final.step_count)
+        rec.m_value == basis.rational(Fraction(1, 2) ** (divmod(j, 2)[0] + divmod(j, 2)[1]))
+        for j, rec in enumerate(art.final.history)
     )
     sums_ok = _episode_sums_hold(
         art, {k: 3 - 3 * Fraction(1, 2) ** k for k in range(1, 21)})
-    final3 = collect_artifacts(gen_notunion_rr1(steps=40, embed3d=True)).final
-    spectator = all(
-        "z" in final3.starving_directions(w)
-        for w in range(1, final3.step_count + 1)
-    )
-    pinned = all(
-        final3.starving_directions(w) == {"z"}
-        for w in range(2, final3.step_count + 1)
-    )
+    art3 = collect_artifacts(gen_notunion_rr1(steps=40, embed3d=True))
+    windows = range(1, art3.final.step_count + 1)
+    (witness,) = run_checks(art3, ["switching-witness"], {"windows": list(windows)})
+    starving = witness.detail["starving_by_window"]
+    spectator = all("z" in starving[w] for w in windows)
+    pinned = all(starving[w] == ["z"] for w in windows[1:])
     ok = m_ok and sums_ok and spectator and pinned and sc.expected_limit == Fraction(3)
     summary = (
         "step values follow the halving law, episode sums equal 3 - 3*(1/2)^k "

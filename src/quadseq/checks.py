@@ -15,6 +15,10 @@ from, and returns a verdict:
 Checks never weaken their claim to fit a scenario: a divergent or
 rescaling plan gets "not applicable" from a bounded-sum check rather
 than a vacuous pass.
+
+A question asked of a run's history is answered here, from the records
+of ``final.history``, by the check that asks it; the step engine hands
+the records out and reports nothing about them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import (
     AmbiguousDirection,
     CensusTooLarge,
     ConfigError,
-    IncompleteCoverage,
     NotTerminated,
     QuadseqError,
     RatioUndefined,
@@ -38,7 +41,7 @@ from .forms import (ANTICHAIN_CAP, MonomialForm, order_drop_report,
                     order_drop_verdict, ratio_limit_report)
 from .gallery import Scenario, _to_int, _to_rational, replay_states
 from .monomials import MonomialIdeal, extend_ideal, monomial_value, rewrite_monomial
-from .sequence import SequenceState, argmin_word
+from .sequence import SequenceState, StepRecord, argmin_word, prefix_dominance
 from .values import ValueVector, rational_rank
 from .videals import ideal_value, short_chain_report, tau_bound, videal_chain
 
@@ -146,7 +149,7 @@ def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
         return CheckResult("bound63", "not applicable",
                            {"reason": art.bound_reason})
     final = art.final
-    values = final.initial_frame_values
+    values = art.scenario.frame.values
     independent = rational_rank(values) == len(values)
     detail: dict = {
         "records": final.step_count,
@@ -168,21 +171,53 @@ def _check_series_bound(art: RunArtifacts, options: dict) -> CheckResult:
 
 
 def _check_switching_witness(art: RunArtifacts, options: dict) -> CheckResult:
-    final = art.final
-    carrying = sum(1 for r in final.history if r.carries_direction)
-    if carrying == 0:
+    """Occupancy of the direction-carrying records: a monomial run counts
+    with its multiplicity, a rescale that carries a direction once."""
+    names = art.final.names
+    carrying = [r for r in art.final.history if r.carries_direction]
+    if not carrying:
         return CheckResult("switching-witness", "not applicable",
                            {"reason": "no direction-carrying steps"})
-    windows = options["windows"] or [w for w in (1, 2, 5, 10, 20, carrying)
-                                     if w <= carrying]
-    per_window = {w: sorted(final.starving_directions(w)) for w in windows}
-    counts = final.direction_counts()
-    never_used = sorted(name for name, c in counts.items() if c == 0)
+    windows = options["windows"] or [w for w in (1, 2, 5, 10, 20, len(carrying))
+                                     if w <= len(carrying)]
+    counts = dict.fromkeys(names, 0)
+    for rec in carrying:
+        counts[names[rec.direction]] += rec.count
     return CheckResult("switching-witness", "pass", {
-        "starving_by_window": per_window,
+        "starving_by_window": {w: _starving(carrying, w, names) for w in windows},
         "direction_counts": counts,
-        "never_used": never_used,
+        "never_used": sorted(name for name, c in counts.items() if c == 0),
     })
+
+
+def _starving(carrying: Sequence[StepRecord], window: int,
+              names: Sequence[str]) -> list[str]:
+    """The sorted names absent from the last ``window`` steps of the
+    direction-carrying records ``carrying``, so the window may end inside
+    a run.  A zero window is vacuous and starves nothing."""
+    if window == 0:
+        return []
+    seen: set[int] = set()
+    for rec in reversed(carrying):
+        seen.add(rec.direction)
+        window -= rec.count
+        if window <= 0:
+            break
+    return sorted(name for i, name in enumerate(names) if i not in seen)
+
+
+def _first_uses(history: Sequence[StepRecord]) -> dict[int, int]:
+    """Each direction that a monomial record takes, in the order of first
+    use, mapped to the 1-based position of its first step in the word of
+    monomial steps (a run counts with its multiplicity; a rescale is no
+    letter, whatever direction it carries)."""
+    first: dict[int, int] = {}
+    pos = 1
+    for rec in history:
+        if rec.kind == "monomial":
+            first.setdefault(rec.direction, pos)
+            pos += rec.count
+    return first
 
 
 def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
@@ -192,24 +227,16 @@ def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
     max_degree = options["max_degree"]
     # the word consists of the monomial steps only: a rescale may carry a
     # direction label, but it is not a letter the rewrite acts through
-    word: list[int] = []
-    used: set[int] = set()
-    pos = 0
-    covering_len = None
-    for rec in final.history:
-        if rec.kind != "monomial":
-            continue
-        if len(word) < cap:
-            word.extend([rec.direction] * min(rec.count, cap - len(word)))
-        pos += rec.count
-        if rec.direction not in used:
-            used.add(rec.direction)
-            if len(used) == dim:
-                covering_len = pos - rec.count + 1
+    history = final.history
+    word = list(itertools.islice(itertools.chain.from_iterable(
+        itertools.repeat(rec.direction, rec.count)
+        for rec in history if rec.kind == "monomial"), cap))
     if not word:
         return CheckResult("thm33a", "not applicable",
                            {"reason": "no monomial steps in the plan"})
-    if len(used) == dim:
+    first = _first_uses(history)
+    if len(first) == dim:
+        covering_len = max(first.values())
         if covering_len > cap:
             return CheckResult("thm33a", "not applicable", {
                 "reason": "directions only covered beyond the sweep cap",
@@ -219,7 +246,7 @@ def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
         detail: dict = {"mode": "full-coverage", "word_length": covering_len}
     else:
         detail = {"mode": "missing-direction", "missing_from_word": sorted(
-            final.names[i] for i in range(dim) if i not in used)}
+            final.names[i] for i in range(dim) if i not in first)}
     try:
         detail["report"] = report = order_drop_report(dim, word, max_degree)
     except CensusTooLarge as exc:
@@ -231,16 +258,51 @@ def _check_order_drop(art: RunArtifacts, options: dict) -> CheckResult:
 
 
 def _check_first_use(art: RunArtifacts, options: dict) -> CheckResult:
+    """Order the directions by first monomial use and test the initial
+    frame in that order a_1, ..., a_d: strict ascent; an integer s >= 1
+    with s*a_1 < a_2 < (s+1)*a_1; and (j-2)*a_j < a_1 + ... + a_(j-1) for
+    every j >= 3."""
     final = art.final
     if final.had_rescale:
         return CheckResult("prop344", "not applicable",
                            {"reason": "frame was rescaled mid-run"})
-    try:
-        report = final.first_use_order_report()
-    except IncompleteCoverage as exc:
-        return CheckResult("prop344", "not applicable", {"reason": str(exc)})
-    verdict = "pass" if report["all_hold"] else "fail"
-    return CheckResult("prop344", verdict, {"report": report})
+    order = list(_first_uses(final.history))
+    if len(order) < final.dim:
+        missing = [name for i, name in enumerate(final.names) if i not in order]
+        return CheckResult("prop344", "not applicable",
+                           {"reason": f"directions never used: {missing}"})
+    a = [art.scenario.frame.values[i] for i in order]
+    ascending = all(a[j].cmp(a[j + 1]) < 0 for j in range(len(a) - 1))
+    gap_integer = _gap_integer(a[0], a[1]) if ascending and len(a) >= 2 else None
+    dominance = prefix_dominance(a)
+    report = {
+        "order": tuple(final.names[i] for i in order),
+        "ascending": ascending,
+        "gap_integer": gap_integer,
+        "prefix_dominance": dominance,
+        "all_hold": ascending and gap_integer is not None and dominance,
+    }
+    return CheckResult("prop344", "pass" if report["all_hold"] else "fail",
+                       {"report": report})
+
+
+def _gap_integer(a1: ValueVector, a2: ValueVector) -> int | None:
+    """The integer s >= 1 with s*a1 < a2 < (s+1)*a1, for 0 < a1 < a2, or
+    None when there is none."""
+    s = 1
+    while a2.cmp(a1.scale(2 * s)) > 0:
+        s *= 2
+    lo, hi = s // 2, 2 * s  # a2 < 2s*a1 now; the floor lies in [lo, hi)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if a2.cmp(a1.scale(mid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    s = max(lo, 1)
+    if a1.scale(s).cmp(a2) < 0 and a2.cmp(a1.scale(s + 1)) < 0:
+        return s
+    return None
 
 
 def _check_ratio_limit(art: RunArtifacts, options: dict) -> CheckResult:

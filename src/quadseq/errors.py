@@ -26,11 +26,7 @@ class DirectionNotMinimal(QuadseqError):
 
 
 class IndexOutOfRange(QuadseqError, IndexError):
-    """A step or direction index lies outside the valid range."""
-
-
-class IncompleteCoverage(QuadseqError):
-    """A direction word was required to use every direction but did not."""
+    """A direction index lies outside the valid range."""
 
 
 class RatioUndefined(QuadseqError):

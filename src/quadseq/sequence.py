@@ -27,7 +27,9 @@ Callers that need only the letters of an argmin run read them from
 ``argmin_word``; ``SequenceState.frame_below`` certifies that a state's
 frame has shrunk below a rational bound, and
 ``SequenceState.idle_directions`` that a set of directions is never
-stepped again.
+stepped again.  A state answers no question about its own history:
+``history`` hands out the records, and whoever asks (first uses,
+occupancy, step values) reads them there.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import (
     AmbiguousDirection,
     DirectionNotMinimal,
-    IncompleteCoverage,
     IndexOutOfRange,
     NonPositiveValue,
 )
@@ -119,10 +120,7 @@ class SequenceState:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_frame(cls, frame: ParameterFrame | Sequence[ValueVector],
-                   names: Sequence[str] | None = None) -> "SequenceState":
-        if not isinstance(frame, ParameterFrame):
-            frame = ParameterFrame(frame, names)
+    def from_frame(cls, frame: ParameterFrame) -> "SequenceState":
         st = object.__new__(cls)
         st.basis = frame.basis
         st.names = frame.names
@@ -215,10 +213,6 @@ class SequenceState:
         return tuple(ValueVector._raw(self.basis, v, self._den) for v in self._frame_rows())
 
     @property
-    def initial_frame_values(self) -> tuple[ValueVector, ...]:
-        return self._frame0
-
-    @property
     def partial_sum(self) -> ValueVector:
         """E: the sum of the values of all steps taken so far, E_seg + D."""
         return ValueVector._raw(self.basis, tuple(map(operator.add, self._E0, self._D)),
@@ -227,23 +221,6 @@ class SequenceState:
     @property
     def had_rescale(self) -> bool:
         return self._rescaled
-
-    def m_value(self, n: int) -> ValueVector:
-        if not 0 <= n < self._n:
-            raise IndexOutOfRange(f"step {n} outside 0..{self._n - 1}")
-        return self._hist[n].m_value
-
-    def direction_counts(self) -> dict[str, int]:
-        """Occurrences per direction among direction-carrying steps.
-
-        Monomial runs count with multiplicity; a rescale recorded with a
-        ``direction`` counts once for that direction.
-        """
-        counts = [0] * self.dim
-        for rec in self._hist[: self._n]:
-            if rec.carries_direction:
-                counts[rec.direction] += rec.count
-        return dict(zip(self.names, counts))
 
     # -- stepping ------------------------------------------------------------
 
@@ -349,11 +326,6 @@ class SequenceState:
         st._settle()
         return st
 
-    def current_min(self) -> tuple[int, ValueVector]:
-        """Index and value of a minimal frame entry (ties resolved to lowest index)."""
-        mi = self._argmin(unique=False)
-        return mi, self._value(mi)
-
     def rescale(self, new_values: Sequence[ValueVector],
                 direction: int | None = None) -> "SequenceState":
         """A coordinate-change step: the frame is replaced by ``new_values``.
@@ -369,7 +341,7 @@ class SequenceState:
             v._check_basis(self._frame0[0])
             if v.sign() <= 0:
                 raise NonPositiveValue("rescaled frame values must stay positive")
-        _, m = self.current_min()
+        m = self._value(self._argmin(unique=False))
         nums, den = _common_den(tuple(new_values))
         full = math.lcm(den, self._den)
         rows = tuple(tuple(n * (full // den) for n in row) for row in nums)
@@ -380,7 +352,7 @@ class SequenceState:
         st._start_segment(rows, full, E, True)
         return st
 
-    # -- invariants and reports ----------------------------------------------
+    # -- invariants and certificates -----------------------------------------
 
     def conservation_check(self) -> bool:
         """(dim-1) * E + sum(frame) == (dim-1) * E_seg + sum(frame_seg), exactly.
@@ -458,70 +430,8 @@ class SequenceState:
         k = _dominance_break([vals[i] for i in order])
         return frozenset() if k is None else frozenset(order[k:])
 
-    def starving_directions(self, window: int) -> set[str]:
-        """Names absent from the last ``window`` direction-carrying steps.
 
-        Steps count as in ``direction_counts``: a monomial run with its
-        multiplicity, a rescale recorded with a ``direction`` once, so
-        the window may end inside a run.  A zero window is vacuous and
-        reports nothing as starving.
-        """
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if window == 0:
-            return set()
-        seen: set[int] = set()
-        remaining = window
-        for rec in reversed(self._hist[: self._n]):
-            if rec.carries_direction:
-                seen.add(rec.direction)
-                remaining -= rec.count
-                if remaining <= 0:
-                    break
-        return {self.names[i] for i in range(self.dim) if i not in seen}
-
-    def first_use_order_report(self) -> dict:
-        """Order the directions by first monomial use and test the initial frame.
-
-        Checks, in that ordering a_1, ..., a_d of the *initial* values:
-        strict ascent; an integer s >= 1 with s*a_1 < a_2 < (s+1)*a_1;
-        and (j-2)*a_j < a_1 + ... + a_(j-1) for every j >= 3.
-        """
-        order: list[int] = []
-        for rec in self._hist[: self._n]:
-            if rec.kind == "monomial" and rec.direction not in order:
-                order.append(rec.direction)
-        if len(order) < self.dim:
-            missing = [self.names[i] for i in range(self.dim) if i not in order]
-            raise IncompleteCoverage(f"directions never used: {missing}")
-        a = [self._frame0[i] for i in order]
-        ascending = all(a[j].cmp(a[j + 1]) < 0 for j in range(self.dim - 1))
-        gap_integer = None
-        if self.dim >= 2 and ascending:
-            s = 1
-            while a[1].cmp(a[0].scale(2 * s)) > 0:
-                s *= 2
-            lo, hi = s // 2, 2 * s  # a2 < 2s*a1 now; floor lies in [lo, hi)
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if a[1].cmp(a[0].scale(mid)) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            s = max(lo, 1)
-            if a[0].scale(s).cmp(a[1]) < 0 and a[1].cmp(a[0].scale(s + 1)) < 0:
-                gap_integer = s
-        dominance = prefix_dominance(a)
-        return {
-            "order": tuple(self.names[i] for i in order),
-            "ascending": ascending,
-            "gap_integer": gap_integer,
-            "prefix_dominance": dominance,
-            "all_hold": ascending and gap_integer is not None and dominance,
-        }
-
-
-def argmin_word(frame: ParameterFrame | Sequence[ValueVector]) -> Iterator[int]:
+def argmin_word(frame: ParameterFrame) -> Iterator[int]:
     """The argmin word of ``frame``: one letter per ``step_argmin``, without end.
 
     Lazy, so a tied minimum raises AmbiguousDirection when the letter of

@@ -1,9 +1,11 @@
 """Valuation ideals of a monomial valuation given by a positive frame.
 
-The frame assigns each variable a positive value; a monomial's value is
-the exponent-weighted sum.  For a threshold t the sets {v(m) >= t} and
-{v(m) > t} are monomial ideals, and walking the distinct attained values
-upward produces the descending chain of valuation ideals.
+The frame, a ``sequence.ParameterFrame`` (every entry point takes one,
+so its values are already known positive), assigns each variable a
+positive value; a monomial's value is the exponent-weighted sum.  For a
+threshold t the sets {v(m) >= t} and {v(m) > t} are monomial ideals, and
+walking the distinct attained values upward produces the descending
+chain of valuation ideals.
 
 Everything rests on one exact census, ``_FrameData.below``: the
 staircase of monomials under a threshold, walked breadth first, and its
@@ -34,14 +36,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import Sequence, Union
 
 from .errors import CensusTooLarge, NotTerminated
 from .monomials import Monomial, MonomialIdeal, extend_ideal, least_value
 from .sequence import ParameterFrame, argmin_word
 from .values import ValueVector, _common_den, settled_shadows, shadow
-
-FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
 
 # The most monomials one census may walk, checked against a proven upper
 # bound (``_FrameData.size_bound``) before the walk.  A walked monomial
@@ -51,12 +50,6 @@ FrameLike = Union[ParameterFrame, Sequence[ValueVector]]
 CENSUS_CAP = 1_000_000
 
 
-def _values_of(frame: FrameLike) -> tuple[ValueVector, ...]:
-    if not isinstance(frame, ParameterFrame):
-        frame = ParameterFrame(tuple(frame))  # refuses values <= 0
-    return frame.values
-
-
 class _FrameData:
     """Frame values as integer rows over one common denominator ``den``,
     each with its settled shadow ``sh[i]``: |sh_i - 2^scale * v_i| <= 2 and
@@ -64,11 +57,10 @@ class _FrameData:
     for a value like p - q*sqrt2 whose large coefficients nearly cancel.
     """
 
-    def __init__(self, frame: FrameLike):
-        vals = _values_of(frame)
-        self.basis = vals[0].basis
-        self.rows, self.den = _common_den(vals)
-        self.dim = len(vals)
+    def __init__(self, frame: ParameterFrame):
+        self.basis = frame.basis
+        self.rows, self.den = _common_den(frame.values)
+        self.dim = frame.dim
         self.scale, self.sh = settled_shadows(self.basis, self.rows, self.den)
 
     def value(self, row: tuple) -> ValueVector:
@@ -205,13 +197,13 @@ def _absorb(inside: set, corners: set, m: Monomial) -> None:
             corners.add(c)
 
 
-def enumerate_values(frame: FrameLike, bound: ValueVector) -> list[ValueVector]:
+def enumerate_values(frame: ParameterFrame, bound: ValueVector) -> list[ValueVector]:
     """All distinct monomial values <= bound, ascending (0 included)."""
     data = _FrameData(frame)
     return [data.value(g[0]) for g in data.levels(bound)]
 
 
-def value_ladder(frame: FrameLike, count: int) -> list[ValueVector]:
+def value_ladder(frame: ParameterFrame, count: int) -> list[ValueVector]:
     """The first ``count`` distinct monomial values, ascending from 0."""
     if count <= 0:
         return []
@@ -219,7 +211,7 @@ def value_ladder(frame: FrameLike, count: int) -> list[ValueVector]:
     return [data.value(g[0]) for g in data.ladder_levels(count)[:count]]
 
 
-def videal_at(frame: FrameLike, threshold: ValueVector, strict: bool = False) -> MonomialIdeal:
+def videal_at(frame: ParameterFrame, threshold: ValueVector, strict: bool = False) -> MonomialIdeal:
     """The monomial ideal {m : v(m) >= threshold} (or >, when strict),
     generated by the corners of the staircase of monomials outside it.
 
@@ -239,12 +231,12 @@ def videal_at(frame: FrameLike, threshold: ValueVector, strict: bool = False) ->
     return MonomialIdeal._raw(corners, data.dim)
 
 
-def ideal_value(frame: FrameLike, ideal: MonomialIdeal) -> ValueVector:
+def ideal_value(frame: ParameterFrame, ideal: MonomialIdeal) -> ValueVector:
     """min over generators of v(g): the value of the ideal."""
-    return least_value(_values_of(frame), ideal.generators)
+    return least_value(frame.values, ideal.generators)
 
 
-def videal_chain(frame: FrameLike, count: int) -> list[dict]:
+def videal_chain(frame: ParameterFrame, count: int) -> list[dict]:
     """The first ``count`` valuation ideals: R, then {v > t_n} repeatedly.
 
     Entry n carries the ideal, its threshold t_n (the value of the
@@ -270,7 +262,7 @@ def videal_chain(frame: FrameLike, count: int) -> list[dict]:
     return out
 
 
-def tau_bound(frame: FrameLike, n_ideals: int, max_steps: int = 10_000) -> int:
+def tau_bound(frame: ParameterFrame, n_ideals: int, max_steps: int = 10_000) -> int:
     """Least prefix length of the argmin word extending the first
     ``n_ideals`` valuation ideals to principal ideals all at once.
 
@@ -289,7 +281,7 @@ def tau_bound(frame: FrameLike, n_ideals: int, max_steps: int = 10_000) -> int:
     )
 
 
-def short_chain_report(frame: FrameLike) -> dict:
+def short_chain_report(frame: ParameterFrame) -> dict:
     """The length-(dim+2) chain squeezed between R and the square of the
     maximal ideal when every value is below twice the smallest.
 
@@ -298,7 +290,7 @@ def short_chain_report(frame: FrameLike) -> dict:
     remaining variable, and finally the square of the maximal ideal, each
     step of colength 1.
     """
-    vals = _values_of(frame)
+    vals = frame.values
     d = len(vals)
     vmin = min(vals)
     vmax = max(vals)

@@ -1,5 +1,6 @@
 """The check registry: verdicts, applicability gating, and explanations."""
 
+import dataclasses
 import re
 import time
 from fractions import Fraction as F
@@ -89,6 +90,42 @@ def test_rr1_embed3d_switching_witness():
     assert res.verdict == "pass"
     assert res.detail["never_used"] == ["z"]
     assert res.detail["starving_by_window"][2] == ["z"]
+
+
+@pytest.mark.parametrize("preset, episodes, options", [
+    ("rr1", 40, {"embed3d": True}),  # rescales that carry a direction
+    ("gmr-7.13", 6, {}),             # bulk runs
+    ("shannon-4.18", 8, {}),         # rescales that carry none
+], ids=["rr1-embed3d", "gmr-7.13", "shannon-4.18"])
+def test_switching_witness_matches_a_letter_by_letter_oracle(preset, episodes, options):
+    # every prefix of the plan, so that some histories end inside a bulk run
+    sc = build_preset(preset, episodes, **options)
+    for k in range(1, len(sc.plan) + 1):
+        art = collect_artifacts(dataclasses.replace(sc, plan=sc.plan[:k]))
+        names = art.final.names
+        carrying = [rec for rec in art.final.history if rec.carries_direction]
+        # the oracle: each direction-carrying record expanded into count letters
+        letters = [rec.direction for rec in carrying for _ in range(rec.count)]
+        n = len(letters)
+
+        def absent(used):
+            return sorted(name for i, name in enumerate(names) if i not in used)
+
+        (res,) = run_checks(art, ["switching-witness"], {"windows": list(range(n + 1))})
+        if not carrying:
+            assert res.verdict == "not applicable"
+            continue
+        assert res.verdict == "pass"
+        assert res.detail["direction_counts"] == {
+            name: letters.count(i) for i, name in enumerate(names)}
+        assert res.detail["never_used"] == absent(set(letters))
+        # window 0 is vacuous: it starves nothing
+        assert res.detail["starving_by_window"] == {
+            w: absent(set(letters[n - w:])) if w else [] for w in range(n + 1)}
+        # the default top window is the number of direction-carrying records
+        (res,) = run_checks(art, ["switching-witness"])
+        assert list(res.detail["starving_by_window"]) == list(dict.fromkeys(
+            w for w in (1, 2, 5, 10, 20, len(carrying)) if w <= len(carrying)))
 
 
 def test_713_series_sum_divergence():
@@ -269,9 +306,9 @@ def test_a_replay_builds_the_initial_state_once(monkeypatch):
     calls = []
     from_frame = SequenceState.from_frame
 
-    def counting(frame, names=None):
+    def counting(frame):
         calls.append(frame)
-        return from_frame(frame, names)
+        return from_frame(frame)
 
     monkeypatch.setattr(SequenceState, "from_frame", staticmethod(counting))
     sc = build_preset("random")

@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -539,7 +541,7 @@ def test_trace_matches_an_independent_replay(scenario, width):
     states = list(gallery.replay_states(scenario))
     assert len(rows) == len(states) >= 1
     for n, (row, st) in enumerate(zip(rows, states), start=1):
-        m_lo, m_hi = st.m_value(n - 1).evaluate_interval(width)
+        m_lo, m_hi = st.history[n - 1].m_value.evaluate_interval(width)
         e_lo, e_hi = st.partial_sum.evaluate_interval(width)
         assert row["step"] == n
         assert (row["m_lo"], row["m_hi"]) == (cli._frac_str(m_lo), cli._frac_str(m_hi))
@@ -848,6 +850,27 @@ _FUZZ_SEEDS = [
 ]
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_the_readme_examples_run_as_written(monkeypatch, tmp_path):
+    """The library example of the README runs, and so do its two configs,
+    which are also the first two fuzz seeds."""
+    with open(README) as f:
+        text = f.read()
+    monkeypatch.chdir(tmp_path)
+    example = re.search(r"^## Library example$.*?^```python\n(.*?)^```$", text,
+                        re.M | re.S).group(1)
+    exec(compile(example, README, "exec"), {})
+    configs = re.findall(r"^```json\n(.*?)^```$", text, re.M | re.S)
+    assert [json.loads(c) for c in configs] == _FUZZ_SEEDS[:2]
+    for n, cfg in enumerate(configs):
+        (tmp_path / f"cfg{n}.json").write_text(cfg)
+        assert cli.main(["run", "--config", f"cfg{n}.json"]) == 0
+    assert (tmp_path / "rep.json").is_file() and (tmp_path / "trace.csv").is_file()
+
+
 def _paths(node, prefix=()):
     """Every path into a JSON value, the empty path (the value itself) first."""
     yield prefix
@@ -884,13 +907,18 @@ def _fuzzed_configs(draw):
     return _replaced(seed, path, draw(_fuzz_values))
 
 
-# about 10 s: at 3,000 examples the output-path fault (an unwritable json
-# or csv path escaping as an OSError) showed up several times per run
+# at 3,000 examples the output-path fault (an unwritable json or csv path
+# escaping as an OSError) showed up several times per run.  Each example
+# writes into a fresh directory: rewriting one file thousands of times is
+# far slower than writing new ones on a file system mounted with
+# ``discard`` (164 s of wall time for 9 s of CPU on one such 2-vCPU box)
 @given(_fuzzed_configs())
 @settings(max_examples=3000, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_a_fuzzed_config_exits_with_a_code_and_never_raises(monkeypatch, tmp_path, cfg):
     # 0: every check passed, 1: a check's verdict was fail, 2: refused
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    work = tempfile.mkdtemp(dir=tmp_path)
+    monkeypatch.chdir(work)
+    with open(os.path.join(work, "cfg.json"), "w") as f:
+        json.dump(cfg, f)
     assert cli.main(["run", "--config", "cfg.json"]) in (0, 1, 2)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quadseq.checks import collect_artifacts
+from quadseq.checks import collect_artifacts, run_checks
 from quadseq.errors import ConfigError, DirectionNotMinimal
 from quadseq.gallery import (
     PRESETS,
@@ -35,6 +35,14 @@ def partial_sums(scenario):
     return [state.partial_sum for state in replay_states(scenario)]
 
 
+def witness(scenario, windows=None):
+    """The detail of the ``switching-witness`` check, at the given windows
+    or the default ones."""
+    (res,) = run_checks(scenario, ["switching-witness"],
+                        None if windows is None else {"windows": windows})
+    return res.detail
+
+
 # -- geometric episodes --------------------------------------------------------
 
 
@@ -43,7 +51,7 @@ def test_shannon_episode_m_values():
     final = collect_artifacts(sc).final
     for k in range(6):
         c = F(1, 4) ** k
-        ms = [rational(final.m_value(4 * k + i)) for i in range(4)]
+        ms = [rational(final.history[4 * k + i].m_value) for i in range(4)]
         assert ms == [c, c / 2, c / 4, c / 4]
 
 
@@ -73,7 +81,7 @@ def test_shannon_limit_and_counts():
     sc = gen_shannon_418(episodes=5)
     assert sc.expected_limit == F(8, 3)
     final = collect_artifacts(sc).final
-    assert final.direction_counts() == {"x": 5, "y": 5, "z": 5}
+    assert witness(sc)["direction_counts"] == {"x": 5, "y": 5, "z": 5}
     kinds = [r.kind for r in final.history]
     assert kinds.count("rescale") == 5
 
@@ -87,7 +95,7 @@ def test_rr1_m_value_law():
     for n in range(20):
         k = n // 2
         expected = F(1, 2) ** k if n % 2 == 0 else F(1, 2) ** (k + 1)
-        assert rational(final.m_value(n)) == expected
+        assert rational(final.history[n].m_value) == expected
 
 
 def test_rr1_partial_sums():
@@ -104,11 +112,11 @@ def test_rr1_partial_sums():
 
 def test_rr1_embed3d_starves_z():
     sc = gen_notunion_rr1(steps=24, embed3d=True)
-    final = collect_artifacts(sc).final
-    assert final.direction_counts()["z"] == 0
+    detail = witness(sc, list(range(1, 12)))
+    assert detail["direction_counts"]["z"] == 0
     for window in range(2, 12):
-        assert final.starving_directions(window) == {"z"}
-    assert "z" in final.starving_directions(1)
+        assert detail["starving_by_window"][window] == ["z"]
+    assert "z" in detail["starving_by_window"][1]
 
 
 def test_713_bulk_and_single_steps_starve_alike():
@@ -117,12 +125,11 @@ def test_713_bulk_and_single_steps_starve_alike():
         PlanStep("monomial", ps.direction) if ps.kind == "monomial" else ps
         for ps in sc.plan for _ in range(ps.count)
     ))
-    bulk, steps = collect_artifacts(sc).final, collect_artifacts(single).final
-    assert bulk.step_count < steps.step_count
-    total = sum(bulk.direction_counts().values())
-    assert total == sum(steps.direction_counts().values())
-    for window in range(total + 2):
-        assert bulk.starving_directions(window) == steps.starving_directions(window)
+    assert len(sc.plan) < len(single.plan)
+    counts = witness(sc)["direction_counts"]
+    assert counts == witness(single)["direction_counts"]
+    windows = list(range(sum(counts.values()) + 2))
+    assert witness(sc, windows) == witness(single, windows)
 
 
 def test_rr1_embed3d_spectator_value():
@@ -138,7 +145,7 @@ def test_rr1_embed3d_quotient_matches_plane():
     flat = collect_artifacts(gen_notunion_rr1(steps=16)).final
     embedded = collect_artifacts(gen_notunion_rr1(steps=16, embed3d=True)).final
     for n in range(16):
-        assert embedded.m_value(n).coeffs == flat.m_value(n).coeffs
+        assert embedded.history[n].m_value.coeffs == flat.history[n].m_value.coeffs
 
 
 # -- doubling quotients --------------------------------------------------------
@@ -152,8 +159,8 @@ def test_713_episode_trace():
         bulk = final.history[3 * n]
         assert bulk.kind == "monomial" and bulk.count == 2 ** n
         assert rational(bulk.m_value) == c
-        assert rational(final.m_value(3 * n + 1)) == c / 2
-        assert rational(final.m_value(3 * n + 2)) == c / 2
+        assert rational(final.history[3 * n + 1].m_value) == c / 2
+        assert rational(final.history[3 * n + 2].m_value) == c / 2
 
 
 def test_713_boundary_sums_diverge():
@@ -198,7 +205,7 @@ def test_713_first_five_terms():
 def test_714_prologue_and_law():
     sc = gen_714(episodes=10)
     final = collect_artifacts(sc).final
-    prologue = [rational(final.m_value(i)) for i in range(5)]
+    prologue = [rational(final.history[i].m_value) for i in range(5)]
     assert prologue == [1, 1, F(1, 2), F(1, 4), F(1, 4)]
     sums = partial_sums(sc)
     assert rational(sums[sc.boundaries[0] - 1]) == 3
@@ -222,7 +229,7 @@ def test_dvr_sum_equals_record_count():
     for n, state in enumerate(replay_states(sc), start=1):
         assert rational(state.partial_sum) == n
     final = collect_artifacts(sc).final
-    assert all(rational(final.m_value(i)) == 1 for i in range(60))
+    assert all(rational(final.history[i].m_value) == 1 for i in range(60))
 
 
 def test_dvr_requires_two_directions():
@@ -253,10 +260,9 @@ def test_random_starving_reflects_argmin_runs():
     # argmin runs between switches grow, so a fixed small window can starve
     # at a given step; a window covering the whole history reports only the
     # directions never used at all
-    final = collect_artifacts(gen_random_independent(3, seed=1, steps=200)).final
-    assert final.starving_directions(200) == set()
-    counts = final.direction_counts()
-    assert all(counts[name] > 0 for name in ("x", "y", "z"))
+    detail = witness(gen_random_independent(3, seed=1, steps=200), [200])
+    assert detail["starving_by_window"][200] == []
+    assert all(detail["direction_counts"][name] > 0 for name in ("x", "y", "z"))
 
 
 def test_random_rejects_bad_dimension():

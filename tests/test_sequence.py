@@ -1,4 +1,5 @@
-"""Stepping, conservation, bounds, and the sequence-level reports."""
+"""Stepping, conservation, bounds, certificates, and the reports that the
+checks read off a run's history."""
 
 import itertools
 import random
@@ -9,14 +10,15 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from quadseq import sequence, values
-from quadseq.errors import (
-    AmbiguousDirection,
-    DirectionNotMinimal,
-    IncompleteCoverage,
-    IndexOutOfRange,
-    NonPositiveValue,
+from quadseq.checks import run_checks
+from quadseq.errors import AmbiguousDirection, DirectionNotMinimal, NonPositiveValue
+from quadseq.gallery import (
+    _FRACTION_POOL,
+    PlanStep,
+    Scenario,
+    diagonal_frame,
+    gen_random_independent,
 )
-from quadseq.gallery import _FRACTION_POOL, diagonal_frame, gen_random_independent
 from quadseq.sequence import (
     _SH_ERR_MAX,
     _SH_MIN,
@@ -53,7 +55,7 @@ def test_argmin_trace_matches_oracle():
     state, dirs = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 12)
     assert dirs == TRACE_DIRS
     for n, expected in enumerate(TRACE_MS):
-        assert state.m_value(n).coeffs == (F(expected[0]), F(expected[1]))
+        assert state.history[n].m_value.coeffs == (F(expected[0]), F(expected[1]))
 
 
 def test_partial_sum_exact():
@@ -108,7 +110,8 @@ def test_run_equals_repeated_steps():
         slow = slow.step_in_direction(0)
     assert bulk.frame_values == slow.frame_values
     assert bulk.partial_sum == slow.partial_sum
-    assert bulk.direction_counts() == slow.direction_counts() == {"x": 5, "y": 0}
+    assert [(r.direction, r.count) for r in bulk.history] == [(0, 5)]
+    assert [(r.direction, r.count) for r in slow.history] == [(0, 1)] * 5
     assert bulk.step_count == 1 and slow.step_count == 5
 
 
@@ -125,10 +128,11 @@ def test_rescale_replaces_frame_and_resets_segment():
     state, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 2)
     new_vals = (B2.rational(F(1, 3)), B2.value([0, F(1, 5)]))
     before_E = state.partial_sum
-    _, m = state.current_min()
+    m = min(state.frame_values)
     state = state.rescale(new_vals, direction=0)
     assert state.frame_values == new_vals
     assert state.partial_sum == before_E + m
+    assert state.history[-1].m_value == m
     assert state.had_rescale
     assert state.conservation_check()  # fresh segment, trivially balanced
     rec = state.history[-1]
@@ -145,33 +149,26 @@ def test_rescale_validates_values():
         state.rescale((B2.rational(1),))
 
 
-def test_m_value_index_errors():
-    state, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 3)
-    with pytest.raises(IndexOutOfRange):
-        state.m_value(3)
-    with pytest.raises(IndexOutOfRange):
-        state.m_value(-1)
+def _starving(scenario, windows):
+    (res,) = run_checks(scenario, ["switching-witness"], {"windows": windows})
+    return res.detail["starving_by_window"]
 
 
 def test_starving_directions_empty_for_active_run():
-    state, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 100)
-    assert state.starving_directions(50) == set()
-    assert state.starving_directions(1) in ({"x"}, {"y"})
-    assert state.starving_directions(0) == set()
-    with pytest.raises(ValueError):
-        state.starving_directions(-1)
+    sc = Scenario("sqrt2", frame_1_sqrt2(), mode="argmin", steps=100)
+    starving = _starving(sc, [0, 1, 50])
+    assert starving[50] == []
+    assert starving[1] in (["x"], ["y"])
+    assert starving[0] == []  # a zero window is vacuous
 
 
 def test_starving_directions_count_steps_inside_a_bulk_run():
     frame = ParameterFrame([B2.rational(1), B2.rational(F(11, 10))])
-    start = SequenceState.from_frame(frame).step_in_direction(0)
-    bulk = start.run_in_direction(1, 3)
-    single = start
-    for _ in range(3):
-        single = single.step_in_direction(1)
-    assert bulk.starving_directions(2) == single.starving_directions(2) == {"x"}
-    for window in range(6):
-        assert bulk.starving_directions(window) == single.starving_directions(window)
+    x, y = PlanStep("monomial", 0), PlanStep("monomial", 1)
+    bulk = Scenario("bulk", frame, plan=(x, PlanStep("monomial", 1, 3)))
+    single = Scenario("single", frame, plan=(x, y, y, y))
+    assert _starving(bulk, [2])[2] == ["x"]
+    assert _starving(bulk, list(range(6))) == _starving(single, list(range(6)))
 
 
 def test_idle_directions_is_where_prefix_dominance_breaks():
@@ -209,14 +206,22 @@ def test_idle_directions_are_never_stepped(coeffs, steps):
     assert not idle & set(later)
 
 
+def _first_use(frame, steps):
+    (res,) = run_checks(Scenario("first-use", frame, mode="argmin", steps=steps),
+                        ["prop344"])
+    return res
+
+
 def test_first_use_order_report_frozen_example():
     basis = RealBasis.default(1)
     frame = ParameterFrame(
         [basis.rational(1), basis.rational(F(3, 2)), basis.rational(F(7, 4))]
     )
-    state, dirs = run_argmin(SequenceState.from_frame(frame), 3)
+    _, dirs = run_argmin(SequenceState.from_frame(frame), 3)
     assert dirs == [0, 1, 2]
-    report = state.first_use_order_report()
+    res = _first_use(frame, 3)
+    assert res.verdict == "pass"
+    report = res.detail["report"]
     assert report["order"] == ("x", "y", "z")
     assert report["ascending"] is True
     assert report["gap_integer"] == 1
@@ -226,15 +231,14 @@ def test_first_use_order_report_frozen_example():
 
 def test_first_use_gap_integer_bigger():
     frame = ParameterFrame([B2.rational(1), B2.value([0, F(5, 2)])])
-    state, _ = run_argmin(SequenceState.from_frame(frame), 4)
-    report = state.first_use_order_report()
+    report = _first_use(frame, 4).detail["report"]
     assert report["gap_integer"] == 3  # 3 < 5*sqrt2/2 ~ 3.53 < 4
 
 
 def test_first_use_requires_coverage():
-    state, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 1)
-    with pytest.raises(IncompleteCoverage):
-        state.first_use_order_report()
+    res = _first_use(frame_1_sqrt2(), 1)
+    assert res.verdict == "not applicable"
+    assert res.detail == {"reason": "directions never used: ['y']"}
 
 
 def test_quotient_drops_spectator_direction():
@@ -243,7 +247,7 @@ def test_quotient_drops_spectator_direction():
         [basis.rational(1), basis.value([0, 1]), basis.rational(10)]
     )
     state, _ = run_argmin(SequenceState.from_frame(frame), 10)
-    assert state.direction_counts()["z"] == 0
+    assert all(r.direction != 2 for r in state.history)
     flat, _ = run_argmin(SequenceState.from_frame(frame_1_sqrt2()), 10)
     assert [r.m_value.coeffs for r in state.history] == [
         r.m_value.coeffs for r in flat.history
@@ -275,7 +279,7 @@ def test_history_branches_do_not_interfere():
     d = a.rescale((B2.value([0, 1]), B2.rational(3)))
     assert _settled(d) and d._shadows()[1] == [2, 2]
     for branch in (b, d):
-        fresh = SequenceState.from_frame(branch.frame_values)
+        fresh = SequenceState.from_frame(ParameterFrame(branch.frame_values))
         assert run_argmin(branch, 20)[1] == run_argmin(fresh, 20)[1]
 
 
@@ -299,7 +303,7 @@ def test_random_runs_keep_invariants(seed, d):
         state, _ = state.step_argmin()
         assert state.conservation_check()
         assert state.bound_gap_sign() > 0
-        m = state.m_value(state.step_count - 1)
+        m = state.history[-1].m_value
         if prev_m is not None:
             assert m.cmp(prev_m) <= 0  # step values never increase
         prev_m = m
@@ -437,7 +441,7 @@ def test_stepping_matches_a_shadow_free_oracle(run):
     and argmin steps again; the invariants and shadow bounds hold after
     every step."""
     frame, new_values, second_values, count, rescale_dir = run
-    state = SequenceState.from_frame(frame)
+    state = SequenceState.from_frame(ParameterFrame(frame))
     oracle = _Oracle(frame)
     _assert_invariants(state, oracle)
     state = _argmin_phase(state, oracle, 25)
@@ -491,6 +495,7 @@ _SMALL = st.integers(2, 5).flatmap(lambda d: st.lists(
 @given(st.one_of(_SMALL, st.integers(2, 5).flatmap(_big_values)))
 @settings(max_examples=80, deadline=None)
 def test_argmin_word_matches_step_argmin(frame):
+    frame = ParameterFrame(frame)
     expected, tied = _step_letters(frame, 30)
     word = argmin_word(frame)
     assert list(itertools.islice(word, len(expected))) == expected
@@ -584,11 +589,11 @@ def test_a_value_near_two_to_the_minus_2000_settles_in_few_rounds(monkeypatch):
 
     # a round evaluates every row at one scale, and each round raises it
     monkeypatch.setattr(values, "shadow", counting)
-    frame = [B2.rational(1), B2.value([p, -q])]
+    frame = ParameterFrame([B2.rational(1), B2.value([p, -q])])
     state = SequenceState.from_frame(frame)
     assert _settled(state)
     assert len(set(scales)) <= 6
-    oracle = _Oracle(frame)
+    oracle = _Oracle(frame.values)
     _argmin_phase(state, oracle, 5)
 
 
